@@ -84,7 +84,14 @@ def _build_parser() -> _Parser:
     inv.add_argument("--out", required=True, help="output BRIM file")
     inv.add_argument("--k", type=int, help="block partition (required for bri)")
     inv.add_argument("--method", choices=("bri", "lu"), default="bri")
-    inv.add_argument("--jobs", type=int, default=1, help="concurrent block runs (bri only)")
+    inv.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="concurrent block runs (bri only; default 1). Measured on 2 cores, jobs > 1 "
+        "never paid: wide blocks already keep every core busy in BLAS, and Python's "
+        "interpreter lock serializes narrow ones. See the README.",
+    )
     inv.add_argument("--seed", type=int, default=42, help="provenance tag for summaries")
     inv.set_defaults(func=cmd_invert)
 

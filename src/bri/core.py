@@ -17,6 +17,10 @@ Design notes
   transposed view, which is Fortran-contiguous for a C-ordered buffer, so
   LAPACK works truly in place; solving against identity columns with
   trans=0 then lands the inverse directly in row-major order.
+* ``multiply`` calls scipy's ``dgemm`` rather than numpy's ``@``, so every
+  BLAS and LAPACK call runs on the one OpenBLAS that scipy links. numpy
+  bundles a second OpenBLAS with its own thread pool; alternating between
+  the two makes each pool's idle threads spin against the other's work.
 * Singularity is a growth-scaled pivot test: |u_ii| <= b * eps * max|A|.
   LAPACK wrapper scratch is not block-buffer accounting; the gauge counts
   engine-managed buffers only.
@@ -25,7 +29,7 @@ Design notes
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import DimensionMismatchError, GaugeUnderflowError, SingularBlockError
 from .instrumentation import MemoryGauge, OpCounters
@@ -171,12 +175,20 @@ def _count(ws: Workspace | None, field: str) -> None:
 
 
 def multiply(x: Block, y: Block) -> Block:
-    """Dense product x @ y. Allocates exactly one result buffer.
+    """Dense product x times y (BLAS dgemm). Allocates exactly one result buffer.
 
     Counts as one block multiplication.
     """
-    _require_same_order(x, y)
-    out = Block(x.data @ y.data, x._ws)
+    order = _require_same_order(x, y)
+    buf = np.empty((order, order))
+    # (x y)^T = y^T x^T on the F-contiguous transposed views, so dgemm writes
+    # the product straight into buf's C-ordered memory. beta=0 means BLAS
+    # never reads buf's uninitialised contents. f2py hands back the very
+    # array it wrote to; any other object would mean it wrote to a copy.
+    c = buf.T
+    if blas.dgemm(1.0, y.data.T, x.data.T, beta=0.0, c=c, overwrite_c=1) is not c:
+        raise RuntimeError("dgemm wrote its product to a copy of the output buffer")
+    out = Block(buf, x._ws)
     _count(x._ws, "block_multiplications")
     return out
 

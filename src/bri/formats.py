@@ -127,17 +127,17 @@ def read_matrix(path) -> np.ndarray:
 class BrimReader:
     """Random-access rectangle reads from a BRIM file.
 
-    A rectangle of r rows is read as r separate row segments, so resident
-    buffering per call stays at the output rectangle plus one row segment.
-    Seeks are serialized by an internal lock, making one reader safe for
-    concurrent callers.
+    A rectangle of r rows is read as r positional row reads (``os.preadv``,
+    POSIX only), each straight into its row of the output, so nothing is
+    buffered beyond the output rectangle. Positional reads leave the file
+    offset alone, so one reader is safe for concurrent callers without a
+    lock.
     """
 
     def __init__(self, path):
         self.path = os.fspath(path)
         self.header = read_header(self.path)
         self._fh = open(self.path, "rb")
-        self._lock = threading.Lock()
 
     @property
     def m(self) -> int:
@@ -148,23 +148,22 @@ class BrimReader:
         if not (0 <= r0 <= r1 <= m and 0 <= c0 <= c1 <= m):
             raise IndexOutOfRangeError(f"rectangle [{r0}:{r1}, {c0}:{c1}] outside order {m}")
         rows, cols = r1 - r0, c1 - c0
-        out = np.empty((rows, cols))
+        out = np.empty((rows, cols), dtype="<f8")
         ncols_bytes = cols * 8
-        with self._lock:
-            for i in range(rows):
-                offset = HEADER_BYTES + ((r0 + i) * m + c0) * 8
-                try:
-                    self._fh.seek(offset)
-                    raw = self._fh.read(ncols_bytes)
-                except OSError as e:
-                    raise OSError(f"{self.path}: read failed at byte {offset}: {e}") from e
-                if len(raw) != ncols_bytes:
-                    raise FormatError(
-                        f"{self.path}: short read at byte {offset}: "
-                        f"expected {ncols_bytes} bytes, got {len(raw)}"
-                    )
-                out[i] = np.frombuffer(raw, dtype="<f8")
-        return out
+        fd = self._fh.fileno()
+        for i in range(rows):
+            offset = HEADER_BYTES + ((r0 + i) * m + c0) * 8
+            try:
+                got = os.preadv(fd, [out[i]], offset)
+            except OSError as e:
+                raise OSError(f"{self.path}: read failed at byte {offset}: {e}") from e
+            if got != ncols_bytes:
+                raise FormatError(
+                    f"{self.path}: short read at byte {offset}: "
+                    f"expected {ncols_bytes} bytes, got {got}"
+                )
+        # A no-op on little-endian hosts; a byte swap on big-endian ones.
+        return out.astype(np.float64, copy=False)
 
     def close(self) -> None:
         self._fh.close()

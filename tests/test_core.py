@@ -91,6 +91,39 @@ class TestMultiply:
         out = multiply(ws.from_array(a), ws.from_array(b))
         np.testing.assert_allclose(out.data, a @ b, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("order", [1, 3, 193])
+    def test_orders_match_reference(self, ws, order):
+        a = rng(13).standard_normal((order, order))
+        b = rng(14).standard_normal((order, order))
+        out = multiply(ws.from_array(a), ws.from_array(b))
+        np.testing.assert_allclose(out.data, a @ b, rtol=0, atol=1e-12)
+
+    def test_aliased_operands(self, ws):
+        a = rng(15).standard_normal((5, 5))
+        x = ws.from_array(a)
+        out = multiply(x, x)
+        np.testing.assert_allclose(out.data, a @ a, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(x.data, a)
+
+    def test_result_is_owned_writable_c_buffer(self, ws):
+        x = ws.from_array(rng(16).standard_normal((4, 4)))
+        y = ws.from_array(rng(17).standard_normal((4, 4)))
+        out = multiply(x, y)
+        flags = out.data.flags
+        assert flags["C_CONTIGUOUS"] and flags.writeable and flags.owndata
+        assert out.data.dtype == np.float64
+        assert not np.shares_memory(out.data, x.data)
+        assert not np.shares_memory(out.data, y.data)
+
+    def test_allocates_exactly_one_block(self, ws):
+        x = ws.identity(3)
+        y = ws.identity(3)
+        before = ws.gauge.live_blocks
+        out = multiply(x, y)
+        assert ws.gauge.live_blocks == before + 1
+        assert ws.gauge.peak_blocks == before + 1
+        out.release()
+
 
 class TestSubtract:
     def test_zero_is_neutral(self, ws):

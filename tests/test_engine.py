@@ -16,12 +16,14 @@ from bri import (
     invert_block,
     invert_full,
     lu_invert_full,
+    make_file_provider,
     make_memory_provider,
     predicted_counts,
     reduce_frame,
     root_frame,
     schur_eliminate,
     split_frame,
+    write_matrix,
 )
 from conftest import full_inverse, rng, shifted
 
@@ -303,6 +305,18 @@ class TestInvertFull:
     def test_parallel_runs_bit_identical(self):
         a = shifted(12, 90)
         prov = make_memory_provider(a, 3)
+        seq = MemorySink(prov.layout)
+        invert_full(prov, seq, jobs=1)
+        par = MemorySink(prov.layout)
+        summary = invert_full(prov, par, jobs=2)
+        assert np.array_equal(seq.finalize(), par.finalize())
+        assert summary.jobs == 2
+
+    def test_parallel_file_runs_bit_identical(self, tmp_path):
+        # The jobs share one BrimReader, which reads without a lock.
+        path = tmp_path / "a.brim"
+        write_matrix(path, shifted(12, 91))
+        prov = make_file_provider(path, 3)
         seq = MemorySink(prov.layout)
         invert_full(prov, seq, jobs=1)
         par = MemorySink(prov.layout)

@@ -1,6 +1,9 @@
 """BRIM files, block sinks, and the benchmark CSV schema."""
 
+import os
 import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from bri import (
     write_bench_csv,
     write_matrix,
 )
+from bri.formats import HEADER_BYTES
 from conftest import rng
 
 
@@ -106,6 +110,55 @@ class TestBrimReader:
             np.testing.assert_array_equal(reader.read_rect(0, 3, 0, 3), a[0:3, 0:3])
             np.testing.assert_array_equal(reader.read_rect(2, 9, 4, 7), a[2:9, 4:7])
             np.testing.assert_array_equal(reader.read_rect(8, 9, 8, 9), a[8:9, 8:9])
+
+    def test_rect_is_owned_native_float64(self, tmp_path):
+        path = tmp_path / "a.brim"
+        write_matrix(path, np.eye(4))
+        with BrimReader(path) as reader:
+            out = reader.read_rect(1, 3, 0, 4)
+        assert out.dtype == np.float64 and out.dtype.isnative
+        assert out.flags["C_CONTIGUOUS"] and out.flags.writeable and out.flags.owndata
+
+    def test_truncated_file_raises_short_read(self, tmp_path):
+        a = rng(4).standard_normal((6, 6))
+        path = tmp_path / "a.brim"
+        write_matrix(path, a)
+        with BrimReader(path) as reader:
+            # Cut the file inside row 4, after the reader validated its size.
+            os.truncate(path, HEADER_BYTES + (4 * 6 + 2) * 8)
+            np.testing.assert_array_equal(reader.read_rect(0, 4, 0, 6), a[0:4])
+            with pytest.raises(FormatError, match="short read"):
+                reader.read_rect(3, 6, 0, 6)
+
+    def test_concurrent_reads_match_dense_slices(self, tmp_path):
+        m = 40
+        a = rng(5).standard_normal((m, m))
+        path = tmp_path / "a.brim"
+        write_matrix(path, a)
+        rects = [
+            (r0, r0 + h, c0, c0 + w)
+            for r0, h, c0, w in rng(6).integers(0, m // 2, size=(200, 4)).tolist()
+        ]
+
+        def mismatches(offset: int, reader: BrimReader) -> list:
+            # Each thread walks the same rectangles from a different start,
+            # so calls on the shared reader interleave at different offsets.
+            bad = []
+            for j in range(len(rects)):
+                r0, r1, c0, c1 = rects[(j + offset) % len(rects)]
+                if not np.array_equal(reader.read_rect(r0, r1, c0, c1), a[r0:r1, c0:c1]):
+                    bad.append((r0, r1, c0, c1))
+            return bad
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with BrimReader(path) as reader, ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(mismatches, 50 * t, reader) for t in range(4)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[], [], [], []]
 
 
 class TestBrimSink:
