@@ -9,7 +9,7 @@ gauge, and a benchmark harness round out the package.
 """
 
 from .baseline import MATERIALIZE_LIMIT, bench_lu, lu_invert_full, materialize
-from .core import Block, LuFactors, Workspace, invert_dense, lu_factor, multiply, subtract
+from .core import Block, Workspace, invert_dense, multiply, subtract
 from .engine import (
     BranchPath,
     Frame,
@@ -56,9 +56,6 @@ from .providers import (
     BlockPermutation,
     BlockProvider,
     KernelSpec,
-    augment_provider,
-    cache_provider,
-    fetch_block,
     kernel_matrix,
     make_file_provider,
     make_kernel_provider,

@@ -3,7 +3,8 @@
 Subcommands operate on BRIM matrix files and print a short human summary
 (or a single JSON object with --json). Exit codes are a stable contract
 for scripting: 0 success, 1 verification failure, 2 singular pivot or
-singular matrix, 3 usage or input/output error.
+singular matrix, 3 usage or input/output error. A library error exits with
+the ``exit_code`` its type carries.
 
 Generation is deterministic: matrices come from NumPy's default PCG64
 generator seeded with --seed, so the same flags regenerate byte-identical
@@ -22,19 +23,7 @@ import numpy as np
 from .baseline import bench_lu, lu_invert_full
 from .core import Workspace
 from .engine import invert_block, invert_full
-from .errors import (
-    BadPartitionError,
-    DimensionMismatchError,
-    FormatError,
-    FrameTooSmallError,
-    IndexOutOfRangeError,
-    MaterializeLimitError,
-    MissingBlocksError,
-    SingularBlockError,
-    SingularMatrixError,
-    SingularPivotError,
-    UsageError,
-)
+from .errors import BriError, UsageError
 from .formats import BrimSink, MemorySink, read_matrix, write_bench_csv, write_matrix
 from .instrumentation import BenchRecord, gauge_scope
 from .providers import KernelSpec, kernel_matrix, make_file_provider, make_memory_provider
@@ -194,9 +183,8 @@ def cmd_invert(args) -> int:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     provider = make_file_provider(args.input, args.k)
     lay = provider.layout
-    ws = Workspace()
-    with BrimSink(args.out, lay) as sink:
-        summary = invert_full(provider, sink, ws, jobs=args.jobs)
+    with provider.source.reader, BrimSink(args.out, lay) as sink:
+        summary = invert_full(provider, sink, jobs=args.jobs)
     c = summary.counters
     info = {
         "command": "invert",
@@ -233,7 +221,7 @@ def cmd_invert_block(args) -> int:
     provider = make_file_provider(args.input, args.k)
     lay = provider.layout
     ws = Workspace()
-    with gauge_scope(ws.gauge) as scope:
+    with provider.source.reader, gauge_scope(ws.gauge) as scope:
         block = invert_block(provider, args.row, args.col, ws)
     data = block.data.copy()
     block.release()
@@ -277,7 +265,7 @@ def cmd_verify(args) -> int:
     else:
         provider = make_memory_provider(matrix, args.k)
         sink = MemorySink(provider.layout)
-        invert_full(provider, sink, Workspace())
+        invert_full(provider, sink)
         candidate = sink.finalize()
     gap = np.abs(candidate - reference)
     worst = np.unravel_index(np.argmax(gap), gap.shape)
@@ -314,7 +302,7 @@ def cmd_bench(args) -> int:
         for k in args.k_list:
             provider = make_memory_provider(matrix, k)
             sink = MemorySink(provider.layout)
-            summary = invert_full(provider, sink, Workspace())
+            summary = invert_full(provider, sink)
             c = summary.counters
             records.append(
                 BenchRecord(
@@ -354,27 +342,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
+    except BriError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return e.exit_code
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (
-        FormatError,
-        MissingBlocksError,
-        BadPartitionError,
-        DimensionMismatchError,
-        IndexOutOfRangeError,
-        MaterializeLimitError,
-        FrameTooSmallError,
-        OSError,
-    ) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except SingularPivotError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (SingularMatrixError, SingularBlockError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ rather than GC-dependent.
 Design notes
 ------------
 * Operations are free functions matching the operand vocabulary:
-  ``multiply``, ``subtract``, ``lu_factor``, ``invert_dense``. A result
+  ``multiply``, ``subtract``, ``invert_dense``. A result
   block joins the workspace of its first operand.
 * ``invert_dense`` factors in place over the input buffer (the input's
   contents are unspecified afterwards) so a single inversion keeps at most
@@ -36,11 +36,9 @@ from .instrumentation import MemoryGauge, OpCounters
 
 __all__ = [
     "Block",
-    "LuFactors",
     "Workspace",
     "multiply",
     "subtract",
-    "lu_factor",
     "invert_dense",
 ]
 
@@ -60,10 +58,6 @@ class Workspace:
     def __init__(self, counters: OpCounters | None = None, gauge: MemoryGauge | None = None):
         self.counters = counters if counters is not None else OpCounters()
         self.gauge = gauge if gauge is not None else MemoryGauge()
-
-    def adopt(self, buf: np.ndarray) -> "Block":
-        """Wrap an existing float64 C-contiguous square buffer without copying."""
-        return Block(buf, self)
 
     def from_array(self, a, copy: bool = True) -> "Block":
         """Allocate a block from array-like data (defensive copy by default)."""
@@ -132,37 +126,6 @@ class Block:
         return f"Block(order={self.order}, {state})"
 
 
-class LuFactors:
-    """Packed LU factorization of one block with partial pivoting.
-
-    ``packed_lu`` stores U on and above the diagonal and the unit-lower
-    multipliers below it, row-major. ``pivots`` is a 1-based permutation
-    of {1..b}: row i of L@U equals row pivots[i] of the input, i.e.
-    P A = L U with P selecting rows in pivot order.
-    """
-
-    __slots__ = ("packed_lu", "pivots", "_ws", "_released")
-
-    def __init__(self, packed_lu: np.ndarray, pivots: np.ndarray, ws: Workspace | None):
-        self.packed_lu = packed_lu
-        self.pivots = pivots
-        self._ws = ws
-        self._released = False
-        if ws is not None:
-            ws.gauge.on_alloc()
-
-    @property
-    def order(self) -> int:
-        return self.packed_lu.shape[0]
-
-    def release(self) -> None:
-        if self._released:
-            raise GaugeUnderflowError("LU factors released twice")
-        self._released = True
-        if self._ws is not None:
-            self._ws.gauge.on_release()
-
-
 def _require_same_order(x: Block, y: Block) -> int:
     if x.order != y.order:
         raise DimensionMismatchError(f"operand orders differ: {x.order} vs {y.order}")
@@ -219,32 +182,6 @@ def _singular_index(diag: np.ndarray, order: int, scale: float) -> int:
     if ok.all():
         return 0
     return int(np.flatnonzero(~ok)[0]) + 1
-
-
-def lu_factor(x: Block) -> LuFactors:
-    """Factor P A = L U with partial pivoting. The input is left intact.
-
-    Does not bump any operation counter on its own; it is a building
-    block whose cost is attributed by the caller (invert_dense counts the
-    whole inversion as one).
-    """
-    order = x.order
-    scale = float(np.abs(x.data).max()) if order else 0.0
-    # f2py copies the C-ordered input to Fortran order internally; that
-    # wrapper scratch is not an engine-managed buffer.
-    lu, piv, info = lapack.dgetrf(x.data)
-    if info < 0:  # pragma: no cover
-        raise ValueError(f"illegal LAPACK argument {-info}")
-    bad = _singular_index(lu.diagonal(), order, scale)
-    if bad:
-        raise SingularBlockError(bad, order)
-    # piv is a 0-based sequence of row swaps; fold it into a permutation.
-    perm = np.arange(order)
-    for i, p in enumerate(piv):
-        if p != i:
-            perm[i], perm[p] = perm[p], perm[i]
-    packed = np.ascontiguousarray(lu)
-    return LuFactors(packed, perm + 1, x._ws)
 
 
 def invert_dense(x: Block) -> Block:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -283,14 +284,9 @@ class InversionSummary:
     l: int
     wall_ms: float
     counters: OpCounters
-    peak_blocks: int  # highest single-run high-water mark
+    peak_blocks: int  # sum of the `jobs` largest run peaks: a bound on concurrently live buffers
     peak_bytes: int
     jobs: int = 1
-    peak_blocks_bound: int = 0  # upper bound across concurrent runs
-
-    def __post_init__(self):
-        if self.peak_blocks_bound == 0:
-            self.peak_blocks_bound = self.peak_blocks
 
 
 def invert_full(
@@ -302,52 +298,34 @@ def invert_full(
     """All k*k inverse blocks, streamed to ``sink.put(alpha, beta, data)``.
 
     Runs row-major over (alpha, beta) and never holds more than one output
-    block per worker. Sequential by default; with jobs > 1 each run gets
-    its own workspace and the merged counters plus an honest upper bound
-    on concurrently live buffers are reported in the summary.
+    block per worker. Every run gets its own workspace; the summary reports
+    the merged counters and, as peak, the sum of the ``jobs`` largest run
+    peaks, which with one job is the single-run high-water mark. The
+    caller's ``ws``, if given, receives the merged counters. Runs stay on
+    the calling thread with one job and go to a thread pool with more.
     """
     lay = provider.layout
     pairs = [(a, b) for a in range(1, lay.k + 1) for b in range(1, lay.k + 1)]
+    njobs = max(1, min(jobs, len(pairs)))
+
+    def run_one(pair: tuple[int, int]) -> tuple[OpCounters, int]:
+        w = Workspace()
+        blk = invert_block(provider, pair[0], pair[1], w)
+        sink.put(pair[0], pair[1], blk.data)
+        blk.release()
+        return w.counters, w.gauge.peak_blocks
+
     t0 = time.perf_counter()
-
-    if jobs <= 1:
-        if ws is None:
-            ws = Workspace()
-        before = ws.counters.copy()
-        ws.gauge.reset_peak()
-        for alpha, beta in pairs:
-            blk = invert_block(provider, alpha, beta, ws)
-            sink.put(alpha, beta, blk.data)
-            blk.release()
-        merged = OpCounters(
-            ws.counters.block_inversions - before.block_inversions,
-            ws.counters.block_multiplications - before.block_multiplications,
-            ws.counters.block_subtractions - before.block_subtractions,
-            ws.counters.schur_nodes - before.schur_nodes,
-        )
-        peak = ws.gauge.peak_blocks
-        bound = peak
-        njobs = 1
-    else:
-        njobs = min(jobs, len(pairs))
-
-        def run_one(pair: tuple[int, int]) -> tuple[OpCounters, int]:
-            w = Workspace()
-            blk = invert_block(provider, pair[0], pair[1], w)
-            sink.put(pair[0], pair[1], blk.data)
-            blk.release()
-            return w.counters, w.gauge.peak_blocks
-
-        merged = OpCounters()
-        peaks: list[int] = []
-        with ThreadPoolExecutor(max_workers=njobs) as pool:
-            for counters, run_peak in pool.map(run_one, pairs):
-                merged.merge(counters)
-                peaks.append(run_peak)
-        peak = max(peaks)
-        bound = sum(sorted(peaks)[-njobs:])
-        if ws is not None:
-            ws.counters.merge(merged)
+    merged = OpCounters()
+    peaks: list[int] = []
+    with ExitStack() as stack:
+        run_map = map if njobs == 1 else stack.enter_context(ThreadPoolExecutor(njobs)).map
+        for counters, run_peak in run_map(run_one, pairs):
+            merged.merge(counters)
+            peaks.append(run_peak)
+    peak = sum(sorted(peaks)[-njobs:])
+    if ws is not None:
+        ws.counters.merge(merged)
 
     wall_ms = (time.perf_counter() - t0) * 1e3
     return InversionSummary(
@@ -360,5 +338,4 @@ def invert_full(
         peak_blocks=peak,
         peak_bytes=peak * 8 * lay.b * lay.b,
         jobs=njobs,
-        peak_blocks_bound=bound,
     )

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Every error raised by the library derives from :class:`BriError` so callers
-can catch one base class. The CLI maps these onto process exit codes.
+can catch one base class. Each type carries the process exit code the CLI
+returns for it in ``exit_code``: 2 for a singular operand, 3 for the rest.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 class BriError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 3
 
 
 class DimensionMismatchError(BriError):
@@ -30,6 +33,8 @@ class SingularBlockError(BriError):
     failed the growth-scaled test |u_ii| <= order * eps * max|A|.
     """
 
+    exit_code = 2
+
     def __init__(self, pivot_index: int, order: int | None = None):
         self.pivot_index = int(pivot_index)
         self.order = order
@@ -41,6 +46,8 @@ class SingularBlockError(BriError):
 
 class SingularMatrixError(BriError):
     """The full dense matrix handed to the baseline is numerically singular."""
+
+    exit_code = 2
 
     def __init__(self, pivot_index: int, order: int):
         self.pivot_index = int(pivot_index)
@@ -58,6 +65,8 @@ class SingularPivotError(BriError):
     ``pivot_block`` the 1-based (row, col) block index pair of the pivot
     whose inversion failed (anchor position of the failing frame).
     """
+
+    exit_code = 2
 
     def __init__(self, path: tuple, pivot_block: tuple[int, int]):
         self.path = tuple(path)

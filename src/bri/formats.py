@@ -175,26 +175,19 @@ class BrimReader:
         self.close()
 
 
-class BrimSink:
-    """Stream inverse blocks to a BRIM file, trimming augmentation padding.
-
-    Blocks may arrive in any order and from concurrent submitters (puts
-    are serialized internally). ``finalize`` requires all k*k blocks and
-    only then stamps the header valid; without it the file keeps version
-    0 as a partial-output marker.
+class _BlockSink:
+    """What both inverse sinks share: the layout, the check of each
+    submitted block, the trim of augmentation padding, and the check that
+    all k*k blocks arrived. Puts are serialized under ``_lock``.
     """
 
-    def __init__(self, path, layout):
-        self.path = os.fspath(path)
+    def __init__(self, layout):
         self.layout = layout
         self._received: set[tuple[int, int]] = set()
         self._lock = threading.Lock()
-        self._fh = open(self.path, "w+b")
-        self._fh.write(BrimHeader(m=layout.m, version=0).pack())
-        self._fh.truncate(HEADER_BYTES + 8 * layout.m * layout.m)
-        self._finalized = False
 
-    def put(self, alpha: int, beta: int, block) -> None:
+    def _region(self, alpha: int, beta: int, block) -> tuple[int, int, np.ndarray]:
+        """Check block (alpha, beta); return its origin and its real (unpadded) part."""
         lay = self.layout
         if not (1 <= alpha <= lay.k and 1 <= beta <= lay.k):
             raise IndexOutOfRangeError(f"block ({alpha}, {beta}) outside 1..{lay.k}")
@@ -205,16 +198,9 @@ class BrimSink:
             )
         r0 = (alpha - 1) * lay.b
         c0 = (beta - 1) * lay.b
-        nrows = min(lay.b, lay.m - r0)
-        ncols = min(lay.b, lay.m - c0)
-        with self._lock:
-            if nrows > 0 and ncols > 0:
-                for i in range(nrows):
-                    self._fh.seek(HEADER_BYTES + ((r0 + i) * lay.m + c0) * 8)
-                    self._fh.write(np.ascontiguousarray(data[i, :ncols], dtype="<f8").tobytes())
-            self._received.add((alpha, beta))
+        return r0, c0, data[: max(0, lay.m - r0), : max(0, lay.m - c0)]
 
-    def finalize(self) -> None:
+    def _require_complete(self) -> None:
         lay = self.layout
         missing = sorted(
             (a, b)
@@ -224,8 +210,38 @@ class BrimSink:
         )
         if missing:
             raise MissingBlocksError(missing)
+
+
+class BrimSink(_BlockSink):
+    """Stream inverse blocks to a BRIM file, trimming augmentation padding.
+
+    Blocks may arrive in any order and from concurrent submitters (puts
+    are serialized internally). ``finalize`` requires all k*k blocks and
+    only then stamps the header valid; without it the file keeps version
+    0 as a partial-output marker.
+    """
+
+    def __init__(self, path, layout):
+        super().__init__(layout)
+        self.path = os.fspath(path)
+        self._fh = open(self.path, "w+b")
+        self._fh.write(BrimHeader(m=layout.m, version=0).pack())
+        self._fh.truncate(HEADER_BYTES + 8 * layout.m * layout.m)
+        self._finalized = False
+
+    def put(self, alpha: int, beta: int, block) -> None:
+        r0, c0, region = self._region(alpha, beta, block)
+        m = self.layout.m
+        with self._lock:
+            for i, row in enumerate(region):
+                self._fh.seek(HEADER_BYTES + ((r0 + i) * m + c0) * 8)
+                self._fh.write(np.ascontiguousarray(row, dtype="<f8").tobytes())
+            self._received.add((alpha, beta))
+
+    def finalize(self) -> None:
+        self._require_complete()
         self._fh.seek(0)
-        self._fh.write(BrimHeader(m=lay.m, version=VERSION).pack())
+        self._fh.write(BrimHeader(m=self.layout.m, version=VERSION).pack())
         self._fh.flush()
         self._finalized = True
 
@@ -245,39 +261,22 @@ class BrimSink:
             self.close()
 
 
-class MemorySink:
+class MemorySink(_BlockSink):
     """Collect inverse blocks into an in-memory m-by-m array (tests, verify)."""
 
     def __init__(self, layout):
-        self.layout = layout
+        super().__init__(layout)
         self.canvas = np.zeros((layout.m, layout.m))
-        self._received: set[tuple[int, int]] = set()
-        self._lock = threading.Lock()
 
     def put(self, alpha: int, beta: int, block) -> None:
-        lay = self.layout
-        if not (1 <= alpha <= lay.k and 1 <= beta <= lay.k):
-            raise IndexOutOfRangeError(f"block ({alpha}, {beta}) outside 1..{lay.k}")
-        data = np.asarray(getattr(block, "data", block))
-        r0 = (alpha - 1) * lay.b
-        c0 = (beta - 1) * lay.b
-        nrows = min(lay.b, lay.m - r0)
-        ncols = min(lay.b, lay.m - c0)
+        r0, c0, region = self._region(alpha, beta, block)
+        nrows, ncols = region.shape
         with self._lock:
-            if nrows > 0 and ncols > 0:
-                self.canvas[r0 : r0 + nrows, c0 : c0 + ncols] = data[:nrows, :ncols]
+            self.canvas[r0 : r0 + nrows, c0 : c0 + ncols] = region
             self._received.add((alpha, beta))
 
     def finalize(self) -> np.ndarray:
-        lay = self.layout
-        missing = sorted(
-            (a, b)
-            for a in range(1, lay.k + 1)
-            for b in range(1, lay.k + 1)
-            if (a, b) not in self._received
-        )
-        if missing:
-            raise MissingBlocksError(missing)
+        self._require_complete()
         return self.canvas
 
 

@@ -22,7 +22,7 @@ caller; nothing in this module is global state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadPartitionError, GaugeUnderflowError
 
@@ -51,20 +51,6 @@ class OpCounters:
         self.block_subtractions += other.block_subtractions
         self.schur_nodes += other.schur_nodes
         return self
-
-    def copy(self) -> "OpCounters":
-        return OpCounters(
-            self.block_inversions,
-            self.block_multiplications,
-            self.block_subtractions,
-            self.schur_nodes,
-        )
-
-    def reset(self) -> None:
-        self.block_inversions = 0
-        self.block_multiplications = 0
-        self.block_subtractions = 0
-        self.schur_nodes = 0
 
 
 class MemoryGauge:

@@ -1,9 +1,8 @@
 """Block providers: uniform fetch access to M_alpha_beta from any backing.
 
 A provider hands out one b-by-b block per fetch as a fresh buffer; nothing
-is cached or kept resident between fetches (an optional bounded cache can
-be layered on top, off by default). Backings: an in-memory array, a BRIM
-file read by row segments, or a kernel rule evaluated on demand.
+is cached or kept resident between fetches. Backings: an in-memory array, a
+BRIM file read by row segments, or a kernel rule evaluated on demand.
 
 Paddings and views compose here rather than in the engine:
 
@@ -34,29 +33,24 @@ bit-identical buffers.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-import threading
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Block, Workspace
 from .errors import BadPartitionError, DimensionMismatchError, IndexOutOfRangeError
-from .formats import BrimReader
+from .formats import BrimReader, read_header
 
 __all__ = [
     "BlockLayout",
     "KernelSpec",
     "BlockPermutation",
     "BlockProvider",
-    "fetch_block",
     "make_memory_provider",
     "make_file_provider",
     "make_kernel_provider",
     "kernel_matrix",
     "permute_provider",
-    "augment_provider",
-    "cache_provider",
 ]
 
 
@@ -85,8 +79,6 @@ class BlockLayout:
         if k < 2:
             raise BadPartitionError(f"partition needs k >= 2, got {k}")
         l = (-m) % k
-        if k > m + l:  # unreachable with l as computed; kept as a guard
-            raise BadPartitionError(f"k={k} exceeds padded order {m + l}")
         return cls(m=m, k=k, l=l, b=(m + l) // k)
 
 
@@ -322,8 +314,8 @@ class _AugmentedSourceProvider(BlockProvider):
         nrows = min(b, m - r0)
         ncols = min(b, m - c0)
         if nrows == b and ncols == b:
-            # May be a read-only view (memory source); Block normalizes to
-            # an owned writable buffer on adoption.
+            # May be a read-only view (memory source); Block normalizes it
+            # to an owned writable buffer on construction.
             return self.source.rect(r0, r0 + b, c0, c0 + b)
         out = np.zeros((b, b))
         if nrows > 0 and ncols > 0:
@@ -414,72 +406,26 @@ class _PermutedProvider(BlockProvider):
         return self.base._block(self.perm.map_row(alpha), self.perm.map_col(beta))
 
 
-class _CachedProvider(BlockProvider):
-    """Bounded LRU cache wrapper. Fetches still return fresh buffers."""
-
-    def __init__(self, base: BlockProvider, capacity: int):
-        if capacity < 1:
-            raise BadPartitionError(f"cache capacity must be >= 1, got {capacity}")
-        self.base = base
-        self.layout = base.layout
-        self.capacity = capacity
-        self._cache: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def _block(self, alpha: int, beta: int) -> np.ndarray:
-        key = (alpha, beta)
-        with self._lock:
-            hit = self._cache.get(key)
-            if hit is not None:
-                self._cache.move_to_end(key)
-                return hit.copy()
-        data = self.base._block(alpha, beta)
-        with self._lock:
-            self._cache[key] = data
-            self._cache.move_to_end(key)
-            while len(self._cache) > self.capacity:
-                self._cache.popitem(last=False)
-        return data.copy()
-
-    def run_view(self, alpha: int, beta: int):
-        view, finish = self.base.run_view(alpha, beta)
-        if finish is None:
-            # plain permuted run: keep cached fetches in the loop
-            return permute_provider(self, alpha, beta), None
-        # shifted-window runs read elements the block cache cannot serve
-        return view, finish
-
-
-def fetch_block(provider: BlockProvider, alpha: int, beta: int, ws: Workspace | None = None) -> Block:
-    """Free-function form of ``provider.fetch_block``."""
-    return provider.fetch_block(alpha, beta, ws)
-
-
-def augment_provider(source, layout: BlockLayout) -> BlockProvider:
-    """Wrap an element source (``.m``, ``.rect``) as a padded block provider.
-
-    The view is over [[M, 0], [0, I]] of order layout.n; with layout.l == 0
-    it is exactly the blocks of M.
-    """
-    return _AugmentedSourceProvider(source, layout)
-
-
 def make_memory_provider(matrix, k: int) -> BlockProvider:
     """Provider over an in-memory square matrix (copied, then read-only)."""
     source = _MemorySource(matrix)
-    return augment_provider(source, BlockLayout.for_order(source.m, k))
+    return _AugmentedSourceProvider(source, BlockLayout.for_order(source.m, k))
 
 
 def make_file_provider(path, k: int) -> BlockProvider:
-    """Provider over a BRIM file; each fetch reads at most b row segments."""
-    source = _FileSource(path)
-    return augment_provider(source, BlockLayout.for_order(source.m, k))
+    """Provider over a BRIM file; each fetch reads at most b row segments.
+
+    The file stays open until the caller closes ``provider.source.reader``.
+    """
+    # Check k against the header before opening, so a rejected layout leaks no file.
+    layout = BlockLayout.for_order(read_header(path).m, k)
+    return _AugmentedSourceProvider(_FileSource(path), layout)
 
 
 def make_kernel_provider(spec: KernelSpec, k: int) -> BlockProvider:
     """Provider over a kernel system matrix, elements recomputed per fetch."""
     source = _KernelSource(spec)
-    return augment_provider(source, BlockLayout.for_order(spec.order, k))
+    return _AugmentedSourceProvider(source, BlockLayout.for_order(spec.order, k))
 
 
 def kernel_matrix(spec: KernelSpec) -> np.ndarray:
@@ -498,8 +444,3 @@ def permute_provider(provider: BlockProvider, alpha: int, beta: int) -> BlockPro
     if not (1 <= alpha <= k and 1 <= beta <= k):
         raise IndexOutOfRangeError(f"target block ({alpha}, {beta}) outside 1..{k}")
     return _PermutedProvider(provider, BlockPermutation(alpha=alpha, beta=beta))
-
-
-def cache_provider(provider: BlockProvider, capacity: int) -> BlockProvider:
-    """Optional bounded LRU cache around any provider (off by default)."""
-    return _CachedProvider(provider, capacity)

@@ -1,11 +1,25 @@
 """Command-line front end, exercised in process through main()."""
 
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from bri import CSV_COLUMNS, read_bench_csv, read_matrix, write_matrix
+import bri.cli
+import bri.errors
+from bri import (
+    CSV_COLUMNS,
+    BriError,
+    GaugeUnderflowError,
+    SingularBlockError,
+    SingularMatrixError,
+    SingularPivotError,
+    read_bench_csv,
+    read_matrix,
+    write_matrix,
+)
 from bri.cli import main
 from conftest import shifted
 
@@ -236,3 +250,52 @@ class TestUsage:
 
     def test_no_arguments(self, capsys):
         assert run(capsys)[0] == 3
+
+
+ERROR_TYPES = [
+    obj for obj in vars(bri.errors).values() if isinstance(obj, type) and issubclass(obj, BriError)
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("err", ERROR_TYPES, ids=lambda err: err.__name__)
+    def test_error_type_carries_its_exit_code(self, err):
+        singular = (SingularBlockError, SingularMatrixError, SingularPivotError)
+        assert err.exit_code == (2 if err in singular else 3)
+
+    def test_any_library_error_exits_with_its_code(self, capsys, monkeypatch, tmp_path):
+        def fail(args):
+            raise GaugeUnderflowError("block released twice")
+
+        monkeypatch.setattr(bri.cli, "cmd_gen", fail)
+        code, _, err = run(capsys, "gen", "--kind", "randn", "--m", "4",
+                           "--out", str(tmp_path / "a.brim"))
+        assert code == 3
+        assert "released twice" in err
+
+
+class TestInputFileClosed:
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["invert", "--k", "2", "--out", "{out}"], 0),
+            (["invert", "--k", "3", "--out", "{out}"], 2),
+            (["invert", "--k", "1", "--out", "{out}"], 3),
+            (["invert-block", "--k", "2", "--row", "1", "--col", "2"], 0),
+            (["invert-block", "--k", "2", "--row", "3", "--col", "1"], 3),
+        ],
+        ids=["invert", "invert-singular", "invert-bad-k", "block", "block-out-of-range"],
+    )
+    def test_no_unclosed_file(self, capsys, tmp_path, argv, want):
+        src = tmp_path / "a.brim"
+        a = shifted(6, 105)
+        if want == 2:
+            a[2:4, 2:4] = 0.0
+        write_matrix(src, a)
+        argv = [arg.format(out=tmp_path / "x.brim") for arg in argv] + ["--in", str(src)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            code = run(capsys, *argv)[0]
+            gc.collect()
+        assert code == want
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []

@@ -1,4 +1,4 @@
-"""Block primitives: allocation accounting, multiply, subtract, LU, inversion."""
+"""Block primitives: allocation accounting, multiply, subtract, inversion."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from bri import (
     Workspace,
     gauge_scope,
     invert_dense,
-    lu_factor,
     multiply,
     subtract,
 )
@@ -151,37 +150,6 @@ class TestSubtract:
     def test_counts_one_subtraction(self, ws):
         subtract(ws.zeros(2), ws.zeros(2))
         assert ws.counters.block_subtractions == 1
-
-
-class TestLuFactor:
-    def test_identity_factors_trivially(self, ws):
-        fac = lu_factor(ws.identity(3))
-        np.testing.assert_array_equal(fac.packed_lu, np.eye(3))
-        np.testing.assert_array_equal(fac.pivots, [1, 2, 3])
-
-    def test_swap_matrix_pivots(self, ws):
-        fac = lu_factor(ws.from_array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_array_equal(fac.pivots, [2, 1])
-        np.testing.assert_array_equal(fac.packed_lu, np.eye(2))
-
-    def test_reconstruction(self, ws):
-        a = rng(5).standard_normal((6, 6))
-        fac = lu_factor(ws.from_array(a))
-        assert sorted(fac.pivots) == list(range(1, 7))
-        lower = np.tril(fac.packed_lu, -1) + np.eye(6)
-        upper = np.triu(fac.packed_lu)
-        err = np.abs(a[fac.pivots - 1] - lower @ upper).max()
-        assert err <= 1e-12 * 6 * np.abs(a).max()
-
-    def test_input_left_intact(self, ws):
-        blk = ws.from_array([[4.0, 2.0], [1.0, 3.0]])
-        lu_factor(blk)
-        np.testing.assert_array_equal(blk.data, [[4.0, 2.0], [1.0, 3.0]])
-
-    def test_rank_one_raises(self, ws):
-        with pytest.raises(SingularBlockError) as exc:
-            lu_factor(ws.from_array([[1.0, 2.0], [2.0, 4.0]]))
-        assert exc.value.pivot_index == 2
 
 
 class TestInvertDense:

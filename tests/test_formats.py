@@ -252,6 +252,24 @@ class TestMemorySink:
             sink.finalize()
 
 
+@pytest.mark.parametrize("sink_cls", [BrimSink, MemorySink])
+def test_sinks_reject_wrong_shape_and_index(tmp_path, sink_cls):
+    lay = BlockLayout.for_order(4, 2)
+    sink = sink_cls(tmp_path / "out.brim", lay) if sink_cls is BrimSink else sink_cls(lay)
+    try:
+        for shape in ((3, 3), (1, 1), (2, 3)):
+            with pytest.raises(DimensionMismatchError):
+                sink.put(1, 1, np.ones(shape))
+        for alpha, beta in ((0, 1), (1, 3)):
+            with pytest.raises(IndexOutOfRangeError):
+                sink.put(alpha, beta, np.ones((2, 2)))
+        with pytest.raises(MissingBlocksError):  # no rejected block counts as received
+            sink.finalize()
+    finally:
+        if sink_cls is BrimSink:
+            sink.close()
+
+
 class TestBenchCsv:
     def test_round_trip(self, tmp_path):
         recs = [

@@ -25,17 +25,6 @@ class TestOpCounters:
         m = a.merge(b)
         assert (m.block_inversions, m.block_multiplications, m.block_subtractions, m.schur_nodes) == (11, 22, 33, 44)
 
-    def test_copy_is_independent(self):
-        a = OpCounters(1, 1, 1, 1)
-        b = a.copy()
-        b.block_inversions = 99
-        assert a.block_inversions == 1
-
-    def test_reset(self):
-        a = OpCounters(1, 2, 3, 4)
-        a.reset()
-        assert a.schur_nodes == 0 and a.block_inversions == 0
-
 
 class TestPredictedCounts:
     # geometric node total (4^(k-1) - 1) / 3, one extra inversion at the root

@@ -12,7 +12,6 @@ from bri import (
     IndexOutOfRangeError,
     KernelSpec,
     Workspace,
-    cache_provider,
     gauge_scope,
     invert_block,
     kernel_matrix,
@@ -310,32 +309,3 @@ class TestRunViewMaps:
         np.testing.assert_array_equal(rpad, np.flatnonzero(cmap >= lay.m))
         np.testing.assert_array_equal(rmap[rpad], cmap[rpad])
 
-
-class TestCacheProvider:
-    def test_cached_blocks_identical(self, ws):
-        a = shifted(12, 60)
-        plain = make_memory_provider(a, 3)
-        cached = cache_provider(make_memory_provider(a, 3), capacity=8)
-        for alpha in range(1, 4):
-            for beta in range(1, 4):
-                x = plain.fetch_block(alpha, beta, ws)
-                y = cached.fetch_block(alpha, beta, ws)
-                assert np.array_equal(x.data, y.data)
-                x.release()
-                y.release()
-
-    def test_inversion_through_cache_is_bit_identical(self, ws):
-        a = shifted(12, 61)
-        plain = invert_block(make_memory_provider(a, 3), 2, 1, ws)
-        cached = invert_block(cache_provider(make_memory_provider(a, 3), 16), 2, 1, ws)
-        assert np.array_equal(plain.data, cached.data)
-        plain.release()
-        cached.release()
-
-    def test_padded_inversion_through_cache(self, ws):
-        a = shifted(10, 62)
-        plain = invert_block(make_memory_provider(a, 4), 2, 4, ws)
-        cached = invert_block(cache_provider(make_memory_provider(a, 4), 16), 2, 4, ws)
-        assert np.array_equal(plain.data, cached.data)
-        plain.release()
-        cached.release()
