@@ -53,7 +53,6 @@ from .formats import (
 from .instrumentation import BenchRecord, MemoryGauge, OpCounters, gauge_scope, predicted_counts
 from .providers import (
     BlockLayout,
-    BlockPermutation,
     BlockProvider,
     KernelSpec,
     kernel_matrix,

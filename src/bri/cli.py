@@ -20,11 +20,11 @@ from statistics import median
 
 import numpy as np
 
-from .baseline import bench_lu, lu_invert_full
+from .baseline import MATERIALIZE_LIMIT, bench_lu, lu_invert_full
 from .core import Workspace
 from .engine import invert_block, invert_full
-from .errors import BriError, UsageError
-from .formats import BrimSink, MemorySink, read_matrix, write_bench_csv, write_matrix
+from .errors import BriError, MaterializeLimitError, UsageError
+from .formats import BrimSink, MemorySink, read_header, read_matrix, write_bench_csv, write_matrix
 from .instrumentation import BenchRecord, gauge_scope
 from .providers import KernelSpec, kernel_matrix, make_file_provider, make_memory_provider
 
@@ -183,7 +183,7 @@ def cmd_invert(args) -> int:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     provider = make_file_provider(args.input, args.k)
     lay = provider.layout
-    with provider.source.reader, BrimSink(args.out, lay) as sink:
+    with provider, BrimSink(args.out, lay) as sink:
         summary = invert_full(provider, sink, jobs=args.jobs)
     c = summary.counters
     info = {
@@ -221,7 +221,7 @@ def cmd_invert_block(args) -> int:
     provider = make_file_provider(args.input, args.k)
     lay = provider.layout
     ws = Workspace()
-    with provider.source.reader, gauge_scope(ws.gauge) as scope:
+    with provider, gauge_scope(ws.gauge) as scope:
         block = invert_block(provider, args.row, args.col, ws)
     data = block.data.copy()
     block.release()
@@ -254,6 +254,10 @@ def cmd_invert_block(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # The check holds the input, its LU inverse and the candidate densely.
+    m = read_header(args.input).m
+    if m > MATERIALIZE_LIMIT:
+        raise MaterializeLimitError(m, MATERIALIZE_LIMIT)
     matrix = read_matrix(args.input)
     reference = lu_invert_full(matrix)
     if args.inverse:

@@ -59,18 +59,9 @@ class Workspace:
         self.counters = counters if counters is not None else OpCounters()
         self.gauge = gauge if gauge is not None else MemoryGauge()
 
-    def from_array(self, a, copy: bool = True) -> "Block":
-        """Allocate a block from array-like data (defensive copy by default)."""
-        buf = np.array(a, dtype=np.float64, order="C", copy=copy)
-        return Block(buf, self)
-
-    def zeros(self, order: int) -> "Block":
-        return Block(np.zeros((order, order)), self)
-
-    def identity(self, order: int) -> "Block":
-        buf = np.zeros((order, order))
-        np.fill_diagonal(buf, 1.0)
-        return Block(buf, self)
+    def from_array(self, a) -> "Block":
+        """Allocate a block from a copy of array-like data."""
+        return Block(np.array(a, dtype=np.float64, order="C"), self)
 
 
 class Block:
@@ -115,11 +106,6 @@ class Block:
         self._released = True
         if self._ws is not None:
             self._ws.gauge.on_release()
-
-    def copy(self) -> "Block":
-        out = np.empty_like(self.data)
-        np.copyto(out, self.data)
-        return Block(out, self._ws)
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "released" if self._released else "live"

@@ -155,27 +155,29 @@ _PLAN: dict[Quadrant, tuple[Quadrant, Quadrant, Quadrant, Quadrant]] = {
 }
 
 
-def _fold(supply: dict[Quadrant, Callable[[], Block]], q: Quadrant, ws: Workspace | None) -> Block:
+def _fold(get: Callable[[Quadrant], Block], q: Quadrant, ws: Workspace | None) -> Block:
     """One Schur reduction, evaluating operands lazily in release order.
 
-    Exactly 1 inversion + 2 multiplications + 1 subtraction; every operand
-    and intermediate is released here (the result reuses r's buffer).
+    ``get(quadrant)`` yields the operand at that quadrant when the fold
+    needs it. Exactly 1 inversion + 2 multiplications + 1 subtraction;
+    every operand and intermediate is released here (the result reuses
+    r's buffer).
     """
     pivot_q, rt_q, l_q, r_q = _PLAN[q]
     if ws is not None:
         ws.counters.schur_nodes += 1
-    p = supply[pivot_q]()
+    p = get(pivot_q)
     inv = invert_dense(p)
     p.release()
-    rt = supply[rt_q]()
+    rt = get(rt_q)
     t = multiply(inv, rt)
     inv.release()
     rt.release()
-    l = supply[l_q]()
+    l = get(l_q)
     u = multiply(l, t)
     l.release()
     t.release()
-    r = supply[r_q]()
+    r = get(r_q)
     out = subtract(r, u, in_place=True)
     u.release()
     return out
@@ -190,8 +192,7 @@ def schur_eliminate(g, q: Quadrant) -> Block:
     """
     (a, b), (c, d) = g
     blocks = {Quadrant.A: a, Quadrant.B: b, Quadrant.C: c, Quadrant.D: d}
-    supply = {key: (lambda blk=blk: blk) for key, blk in blocks.items()}
-    return _fold(supply, q, blocks[q].workspace)
+    return _fold(blocks.__getitem__, q, blocks[q].workspace)
 
 
 def reduce_frame(
@@ -220,21 +221,21 @@ def reduce_frame(
             Quadrant.C: (r2, c1),
             Quadrant.D: (r2, c2),
         }
-        supply = {
-            key: (lambda rc=rc: provider.fetch_block(rc[0], rc[1], ws))
-            for key, rc in spots.items()
-        }
+
+        def get(key: Quadrant) -> Block:
+            row, col = spots[key]
+            return provider.fetch_block(row, col, ws)
+
         q = Quadrant.D
     else:
-        supply = {
-            child.label: (
-                lambda ch=child: reduce_frame(provider, ch, ws, trace, path + (ch.label,))
-            )
-            for child in split_frame(frame)
-        }
+        children = {child.label: child for child in split_frame(frame)}
+
+        def get(key: Quadrant) -> Block:
+            return reduce_frame(provider, children[key], ws, trace, path + (key,))
+
         q = frame.label.mirror
     try:
-        out = _fold(supply, q, ws)
+        out = _fold(get, q, ws)
     except SingularBlockError as e:
         raise SingularPivotError(path, frame.anchor) from e
     if trace is not None:

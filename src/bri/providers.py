@@ -4,13 +4,18 @@ A provider hands out one b-by-b block per fetch as a fresh buffer; nothing
 is cached or kept resident between fetches. Backings: an in-memory array, a
 BRIM file read by row segments, or a kernel rule evaluated on demand.
 
-Paddings and views compose here rather than in the engine:
+One class, BlockProvider, serves every view. It reads the order m+l
+block-diagonal extension [[M, 0], [0, I]], which lets every k divide the
+working order, through an element row map and an element column map:
 
-* augmentation embeds an order-m matrix into the order m+l block-diagonal
-  extension [[M, 0], [0, I]] so every k divides the working order, and
-* a permuted view exchanges block row 1 with beta and block column 1 with
-  alpha, which moves the target block of the inverse into leading
-  position: the (1,1) inverse block of the view equals N_alpha_beta.
+* the providers the make_* functions build use identity maps, and
+* a permuted view composes a block exchange onto its base's maps: block
+  row 1 with beta and block column 1 with alpha, which moves the target
+  block of the inverse into leading position. The (1,1) inverse block of
+  the view equals N_alpha_beta.
+
+Each block's slice of each map is split into contiguous real strips and
+padding positions once, when the view is built, so a fetch only reads.
 
 One wrinkle: on a padded layout, a block-level exchange leaves padding
 rows and their matching columns in different pivot minors of the
@@ -18,8 +23,8 @@ reduction, and those pivots become exactly singular no matter what M is
 (they acquire zero rows or columns). Every inverted pivot of the
 reduction tree covers the anchor block and, when its row and column
 block sets differ at all, they differ only over blocks 3..k-1. run_view
-therefore switches, whenever padding is present, to an element-level
-shifted window: the b-wide row and column strips carrying the target's
+therefore switches, whenever padding is present, to element maps that
+shift the window: the b-wide row and column strips carrying the target's
 real entries lead, all padding indices sit at shared positions inside
 blocks 2 and k of both maps, and a finishing step places the computed
 window into the padded output block. Pivots then stay generically
@@ -44,7 +49,6 @@ from .formats import BrimReader, read_header
 __all__ = [
     "BlockLayout",
     "KernelSpec",
-    "BlockPermutation",
     "BlockProvider",
     "make_memory_provider",
     "make_file_provider",
@@ -112,31 +116,6 @@ class KernelSpec:
         return self.inputs.shape[0] + 1
 
 
-@dataclass(frozen=True)
-class BlockPermutation:
-    """Index exchange selecting target block (alpha, beta) of the inverse.
-
-    Fetch mapping: rows swap 1 <-> beta, columns swap 1 <-> alpha.
-    """
-
-    alpha: int
-    beta: int
-
-    def map_row(self, i: int) -> int:
-        if i == 1:
-            return self.beta
-        if i == self.beta:
-            return 1
-        return i
-
-    def map_col(self, j: int) -> int:
-        if j == 1:
-            return self.alpha
-        if j == self.alpha:
-            return 1
-        return j
-
-
 # ---------------------------------------------------------------------------
 # Element sources: rectangle reads over the raw (unpadded) m-by-m matrix.
 # ---------------------------------------------------------------------------
@@ -192,42 +171,6 @@ class _KernelSource:
         return out
 
 
-def _index_runs(positions: np.ndarray, values: np.ndarray) -> list[tuple[int, int, int]]:
-    """Maximal strips where position and element index both advance by one.
-
-    Yields (pos_start, pos_stop, value_start) triples; each strip can be
-    served by a single contiguous rectangle read.
-    """
-    runs = []
-    start = 0
-    for t in range(1, positions.size):
-        if positions[t] != positions[t - 1] + 1 or values[t] != values[t - 1] + 1:
-            runs.append((int(positions[start]), int(positions[t - 1]) + 1, int(values[start])))
-            start = t
-    if positions.size:
-        runs.append((int(positions[start]), int(positions[-1]) + 1, int(values[start])))
-    return runs
-
-
-def _gather_rect(source, m: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """[[M, 0], [0, I]] gathered at arbitrary element rows x cols.
-
-    Real-index pairs come from the source in maximal contiguous strips;
-    indices at or beyond m contribute identity entries only.
-    """
-    out = np.zeros((rows.size, cols.size))
-    rpos = np.flatnonzero(rows < m)
-    cpos = np.flatnonzero(cols < m)
-    for i0, i1, a0 in _index_runs(rpos, rows[rpos]):
-        for j0, j1, c0 in _index_runs(cpos, cols[cpos]):
-            out[i0:i1, j0:j1] = source.rect(a0, a0 + (i1 - i0), c0, c0 + (j1 - j0))
-    for i in np.flatnonzero(rows >= m):
-        hit = np.flatnonzero(cols == rows[i])
-        if hit.size:
-            out[i, hit[0]] = 1.0
-    return out
-
-
 def _real_window(lay: BlockLayout, j: int) -> int:
     """Start of b consecutive real indices covering block j's real span."""
     lo = (j - 1) * lay.b
@@ -263,25 +206,82 @@ def _run_maps(lay: BlockLayout, alpha: int, beta: int) -> tuple[np.ndarray, np.n
     return rmap, cmap
 
 
+def _strips(emap: np.ndarray, lay: BlockLayout) -> list[list[tuple[int, int, int]]]:
+    """Each block's slice of an element map, split into maximal real strips.
+
+    A strip (p, e, h) covers block positions p..p+h-1 and real element
+    indices e..e+h-1, so one rectangle read serves it. Positions whose
+    element index is padding (>= m) belong to no strip.
+    """
+    b = lay.b
+    pos = np.flatnonzero(emap < lay.m)
+    val = emap[pos]
+    cut = np.ones(pos.size, dtype=bool)
+    cut[1:] = (np.diff(pos) != 1) | (np.diff(val) != 1) | (pos[1:] % b == 0)
+    first = np.flatnonzero(cut)
+    height = np.diff(np.append(first, pos.size))
+    blocks: list[list[tuple[int, int, int]]] = [[] for _ in range(lay.k)]
+    for p, e, h in zip(pos[first].tolist(), val[first].tolist(), height.tolist()):
+        blocks[p // b].append((p % b, e, h))
+    return blocks
+
+
 # ---------------------------------------------------------------------------
-# Providers
+# Provider
 # ---------------------------------------------------------------------------
 
 
 class BlockProvider:
-    """Abstract block source over one layout. Read-only after construction."""
+    """Blocks of [[M, 0], [0, I]] gathered through element row and column maps.
 
-    layout: BlockLayout
+    Block (i, j), 1-based, holds the padded matrix at element rows
+    rmap[(i-1)b : ib] and columns cmap[(j-1)b : jb]; both maps default
+    to the identity. Each block's slice of each map is split into real
+    strips once, here, so a fetch only reads. Read-only after construction.
+    """
 
-    def _block(self, alpha: int, beta: int) -> np.ndarray:
-        raise NotImplementedError
+    def __init__(
+        self,
+        source,
+        layout: BlockLayout,
+        rmap: np.ndarray | None = None,
+        cmap: np.ndarray | None = None,
+    ):
+        self.source = source
+        self.layout = layout
+        self._mapped = rmap is not None  # views pass both maps
+        ident = np.arange(layout.n)
+        self._rmap = ident if rmap is None else rmap
+        self._cmap = ident if cmap is None else cmap
+        self._rows = _strips(self._rmap, layout)
+        self._cols = _strips(self._cmap, layout)
+        # The identity entries of the padding, as (row, col) view positions:
+        # at most l < k of them, each padding row paired with the position
+        # of its element index in cmap.
+        where = np.argsort(self._cmap)
+        rpad = np.flatnonzero(self._rmap >= layout.m)
+        self._ones = list(zip(rpad.tolist(), where[self._rmap[rpad]].tolist()))
 
     def fetch_block(self, alpha: int, beta: int, ws: Workspace | None = None) -> Block:
         """Fetch block (alpha, beta), 1-based, as one freshly allocated buffer."""
-        k = self.layout.k
+        k, b = self.layout.k, self.layout.b
         if not (1 <= alpha <= k and 1 <= beta <= k):
             raise IndexOutOfRangeError(f"block ({alpha}, {beta}) outside 1..{k}")
-        return Block(self._block(alpha, beta), ws)
+        rows, cols = self._rows[alpha - 1], self._cols[beta - 1]
+        if rows and cols and rows[0][2] == b == cols[0][2]:
+            # One whole strip each way: a single read. It may be a read-only
+            # view (memory source); Block copies only such buffers.
+            e, f = rows[0][1], cols[0][1]
+            return Block(self.source.rect(e, e + b, f, f + b), ws)
+        out = np.zeros((b, b))
+        for p, e, h in rows:
+            for q, f, w in cols:
+                out[p : p + h, q : q + w] = self.source.rect(e, e + h, f, f + w)
+        r0, c0 = (alpha - 1) * b, (beta - 1) * b
+        for r, c in self._ones:
+            if r0 <= r < r0 + b and c0 <= c < c0 + b:
+                out[r - r0, c - c0] = 1.0
+        return Block(out, ws)
 
     def run_view(self, alpha: int, beta: int):
         """View to reduce for target block (alpha, beta), plus a finisher.
@@ -290,46 +290,11 @@ class BlockProvider:
         output is the target block as-is (the plain permuted view), or a
         callable mapping the computed leading window to the target block.
         """
-        return permute_provider(self, alpha, beta), None
-
-
-class _AugmentedSourceProvider(BlockProvider):
-    """Blocks of [[M, 0], [0, I]] assembled from an element source.
-
-    With l = 0 this degenerates to plain blocks of M itself.
-    """
-
-    def __init__(self, source, layout: BlockLayout):
-        if source.m != layout.m:
-            raise DimensionMismatchError(
-                f"source order {source.m} does not match layout order {layout.m}"
-            )
-        self.source = source
-        self.layout = layout
-
-    def _block(self, alpha: int, beta: int) -> np.ndarray:
         lay = self.layout
-        b, m = lay.b, lay.m
-        r0, c0 = (alpha - 1) * b, (beta - 1) * b
-        nrows = min(b, m - r0)
-        ncols = min(b, m - c0)
-        if nrows == b and ncols == b:
-            # May be a read-only view (memory source); Block normalizes it
-            # to an owned writable buffer on construction.
-            return self.source.rect(r0, r0 + b, c0, c0 + b)
-        out = np.zeros((b, b))
-        if nrows > 0 and ncols > 0:
-            out[:nrows, :ncols] = self.source.rect(r0, r0 + nrows, c0, c0 + ncols)
-        lo = max(r0, c0, m)
-        hi = min(r0 + b, c0 + b)
-        if hi > lo:  # identity corner of the padding
-            idx = np.arange(lo, hi)
-            out[idx - r0, idx - c0] = 1.0
-        return out
-
-    def run_view(self, alpha: int, beta: int):
-        lay = self.layout
-        if lay.l == 0:
+        if lay.l == 0 or self._mapped:
+            # A view already mapped away from the padded matrix has no
+            # identity corner for a finisher to restore; it keeps the plain
+            # exchange, as on unpadded layouts.
             return permute_provider(self, alpha, beta), None
         if lay.k >= 5 and lay.l > 2 * lay.b:
             # Deep reductions invert pivots whose row and column block
@@ -349,7 +314,7 @@ class _AugmentedSourceProvider(BlockProvider):
         a0 = _real_window(lay, alpha)
         b0 = _real_window(lay, beta)
         rmap, cmap = _run_maps(lay, alpha, beta)
-        view = _ShiftedWindowProvider(self.source, lay, rmap, cmap)
+        view = BlockProvider(self.source, lay, self._rmap[rmap], self._cmap[cmap])
 
         def finish(win: np.ndarray) -> np.ndarray:
             # win = inverse rows [a0, a0+b) x cols [b0, b0+b); the target
@@ -368,69 +333,50 @@ class _AugmentedSourceProvider(BlockProvider):
 
         return view, finish
 
+    def close(self) -> None:
+        """Close the source's file, if it reads one. Views share their base's source."""
+        if isinstance(self.source, _FileSource):
+            self.source.reader.close()
 
-class _ShiftedWindowProvider(BlockProvider):
-    """Element-permuted view of the padded matrix for one target run.
+    def __enter__(self) -> "BlockProvider":
+        return self
 
-    Block (i, j) is [[M, 0], [0, I]] gathered at element rows
-    rmap[(i-1)b : ib] and columns cmap[(j-1)b : jb]. The maps keep every
-    padding index at one shared position, so reduction pivots see padding
-    rows and columns together and stay generically nonsingular.
-    """
-
-    def __init__(self, source, layout: BlockLayout, rmap: np.ndarray, cmap: np.ndarray):
-        self.source = source
-        self.layout = layout
-        self._rmap = rmap
-        self._cmap = cmap
-
-    def _block(self, alpha: int, beta: int) -> np.ndarray:
-        b = self.layout.b
-        return _gather_rect(
-            self.source,
-            self.layout.m,
-            self._rmap[(alpha - 1) * b : alpha * b],
-            self._cmap[(beta - 1) * b : beta * b],
-        )
-
-
-class _PermutedProvider(BlockProvider):
-    """Lazy index-mapped view; owns no element data."""
-
-    def __init__(self, base: BlockProvider, perm: BlockPermutation):
-        self.base = base
-        self.perm = perm
-        self.layout = base.layout
-
-    def _block(self, alpha: int, beta: int) -> np.ndarray:
-        return self.base._block(self.perm.map_row(alpha), self.perm.map_col(beta))
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
 
 def make_memory_provider(matrix, k: int) -> BlockProvider:
     """Provider over an in-memory square matrix (copied, then read-only)."""
     source = _MemorySource(matrix)
-    return _AugmentedSourceProvider(source, BlockLayout.for_order(source.m, k))
+    return BlockProvider(source, BlockLayout.for_order(source.m, k))
 
 
 def make_file_provider(path, k: int) -> BlockProvider:
     """Provider over a BRIM file; each fetch reads at most b row segments.
 
-    The file stays open until the caller closes ``provider.source.reader``.
+    The file stays open until the provider is closed (``with provider:``).
     """
     # Check k against the header before opening, so a rejected layout leaks no file.
     layout = BlockLayout.for_order(read_header(path).m, k)
-    return _AugmentedSourceProvider(_FileSource(path), layout)
+    return BlockProvider(_FileSource(path), layout)
 
 
 def make_kernel_provider(spec: KernelSpec, k: int) -> BlockProvider:
     """Provider over a kernel system matrix, elements recomputed per fetch."""
     source = _KernelSource(spec)
-    return _AugmentedSourceProvider(source, BlockLayout.for_order(spec.order, k))
+    return BlockProvider(source, BlockLayout.for_order(spec.order, k))
 
 
 def kernel_matrix(spec: KernelSpec) -> np.ndarray:
     """The full order-(n+1) kernel system matrix as one dense array."""
     return _KernelSource(spec).rect(0, spec.order, 0, spec.order)
+
+
+def _swap(lay: BlockLayout, t: int) -> np.ndarray:
+    """Element map exchanging block 1 with block t."""
+    idx = np.arange(lay.n).reshape(lay.k, lay.b)
+    idx[[0, t - 1]] = idx[[t - 1, 0]]
+    return idx.ravel()
 
 
 def permute_provider(provider: BlockProvider, alpha: int, beta: int) -> BlockProvider:
@@ -440,7 +386,9 @@ def permute_provider(provider: BlockProvider, alpha: int, beta: int) -> BlockPro
     base matrix's inverse. Applying the same permutation twice yields a
     view equivalent to the base. alpha = beta = 1 is the identity view.
     """
-    k = provider.layout.k
-    if not (1 <= alpha <= k and 1 <= beta <= k):
-        raise IndexOutOfRangeError(f"target block ({alpha}, {beta}) outside 1..{k}")
-    return _PermutedProvider(provider, BlockPermutation(alpha=alpha, beta=beta))
+    lay = provider.layout
+    if not (1 <= alpha <= lay.k and 1 <= beta <= lay.k):
+        raise IndexOutOfRangeError(f"target block ({alpha}, {beta}) outside 1..{lay.k}")
+    return BlockProvider(
+        provider.source, lay, provider._rmap[_swap(lay, beta)], provider._cmap[_swap(lay, alpha)]
+    )

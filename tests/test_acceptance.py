@@ -229,7 +229,7 @@ def test_criterion_10_file_round_trip(tmp_path):
 
     from_file = tmp_path / "inv_file.brim"
     prov_f = make_file_provider(src, 3)
-    with BrimSink(from_file, prov_f.layout) as sink:
+    with prov_f, BrimSink(from_file, prov_f.layout) as sink:
         invert_full(prov_f, sink)
     from_mem = tmp_path / "inv_mem.brim"
     prov_m = make_memory_provider(a, 3)

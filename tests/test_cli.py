@@ -211,6 +211,19 @@ class TestVerify:
         assert code == 0
         assert info["pass"] is True and info["tol"] == 1e-8
 
+    def test_order_above_materialize_limit_is_refused_unread(self, capsys, monkeypatch, tmp_path):
+        src = tmp_path / "a.brim"
+        write_matrix(src, shifted(6, 110))
+
+        def unread(path):
+            raise AssertionError("verify read the payload of an oversized input")
+
+        monkeypatch.setattr(bri.cli, "MATERIALIZE_LIMIT", 5)
+        monkeypatch.setattr(bri.cli, "read_matrix", unread)
+        code, _, err = run(capsys, "verify", "--in", str(src), "--k", "2")
+        assert code == 3
+        assert "order 6" in err
+
 
 class TestBench:
     def test_csv_row_count_and_schema(self, capsys, tmp_path):

@@ -25,14 +25,14 @@ class TestBlock:
             ws.from_array(np.zeros((2, 3)))
 
     def test_double_release_raises(self, ws):
-        blk = ws.zeros(2)
+        blk = ws.from_array(np.zeros((2, 2)))
         blk.release()
         with pytest.raises(GaugeUnderflowError):
             blk.release()
 
     def test_gauge_counts_live_buffers(self, ws):
-        a = ws.zeros(2)
-        b = ws.identity(2)
+        a = ws.from_array(np.zeros((2, 2)))
+        b = ws.from_array(np.eye(2))
         assert ws.gauge.live_blocks == 2
         a.release()
         b.release()
@@ -58,7 +58,7 @@ class TestBlock:
 class TestMultiply:
     def test_identity(self, ws):
         x = ws.from_array([[4.0, 2.0], [1.0, 3.0]])
-        i = ws.identity(2)
+        i = ws.from_array(np.eye(2))
         out = multiply(i, x)
         np.testing.assert_array_equal(out.data, x.data)
 
@@ -70,19 +70,19 @@ class TestMultiply:
 
     def test_annihilator(self, ws):
         x = ws.from_array([[1.0, 2.0], [3.0, 4.0]])
-        z = ws.zeros(2)
+        z = ws.from_array(np.zeros((2, 2)))
         out = multiply(x, z)
         assert not out.data.any()
 
     def test_counts_one_multiplication(self, ws):
-        out = multiply(ws.identity(2), ws.identity(2))
+        out = multiply(ws.from_array(np.eye(2)), ws.from_array(np.eye(2)))
         assert ws.counters.block_multiplications == 1
         assert ws.counters.block_inversions == 0
         out.release()
 
     def test_order_mismatch(self, ws):
         with pytest.raises(DimensionMismatchError):
-            multiply(ws.zeros(2), ws.zeros(3))
+            multiply(ws.from_array(np.zeros((2, 2))), ws.from_array(np.zeros((3, 3))))
 
     def test_large_block_matches_reference(self, ws):
         a = rng(11).standard_normal((128, 128))
@@ -115,8 +115,8 @@ class TestMultiply:
         assert not np.shares_memory(out.data, y.data)
 
     def test_allocates_exactly_one_block(self, ws):
-        x = ws.identity(3)
-        y = ws.identity(3)
+        x = ws.from_array(np.eye(3))
+        y = ws.from_array(np.eye(3))
         before = ws.gauge.live_blocks
         out = multiply(x, y)
         assert ws.gauge.live_blocks == before + 1
@@ -127,12 +127,12 @@ class TestMultiply:
 class TestSubtract:
     def test_zero_is_neutral(self, ws):
         x = ws.from_array([[4.0, 2.0], [1.0, 3.0]])
-        out = subtract(x, ws.zeros(2))
+        out = subtract(x, ws.from_array(np.zeros((2, 2))))
         np.testing.assert_array_equal(out.data, [[4.0, 2.0], [1.0, 3.0]])
 
     def test_self_cancels(self, ws):
         x = ws.from_array([[4.0, 2.0], [1.0, 3.0]])
-        y = x.copy()
+        y = ws.from_array(x.data)
         out = subtract(x, y)
         assert not out.data.any()
 
@@ -144,17 +144,17 @@ class TestSubtract:
 
     def test_in_place_reuses_left_buffer(self, ws):
         x = ws.from_array([[4.0, 2.0], [1.0, 3.0]])
-        out = subtract(x, ws.identity(2), in_place=True)
+        out = subtract(x, ws.from_array(np.eye(2)), in_place=True)
         assert out.data is x.data
 
     def test_counts_one_subtraction(self, ws):
-        subtract(ws.zeros(2), ws.zeros(2))
+        subtract(ws.from_array(np.zeros((2, 2))), ws.from_array(np.zeros((2, 2))))
         assert ws.counters.block_subtractions == 1
 
 
 class TestInvertDense:
     def test_identity(self, ws):
-        out = invert_dense(ws.identity(3))
+        out = invert_dense(ws.from_array(np.eye(3)))
         np.testing.assert_array_equal(out.data, np.eye(3))
 
     def test_adjugate_example(self, ws):
@@ -167,7 +167,7 @@ class TestInvertDense:
             invert_dense(ws.from_array([[1.0, 2.0], [2.0, 4.0]]))
 
     def test_counts_one_inversion(self, ws):
-        out = invert_dense(ws.identity(4))
+        out = invert_dense(ws.from_array(np.eye(4)))
         assert ws.counters.block_inversions == 1
         out.release()
 

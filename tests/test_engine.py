@@ -94,8 +94,8 @@ class TestSchurEliminate:
     def test_block_diagonal_keeps_surviving_quadrant(self, ws):
         x = rng(80).standard_normal((2, 2))
         g = (
-            (ws.from_array(x), ws.zeros(2)),
-            (ws.zeros(2), ws.from_array(np.eye(2) * 2.0)),
+            (ws.from_array(x), ws.from_array(np.zeros((2, 2)))),
+            (ws.from_array(np.zeros((2, 2))), ws.from_array(np.eye(2) * 2.0)),
         )
         out = schur_eliminate(g, D)
         np.testing.assert_array_equal(out.data, x)
@@ -120,7 +120,7 @@ class TestSchurEliminate:
         assert out.data[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_consumes_all_inputs(self, ws):
-        blocks = [ws.identity(2) for _ in range(4)]
+        blocks = [ws.from_array(np.eye(2)) for _ in range(4)]
         out = schur_eliminate(((blocks[0], blocks[1]), (blocks[2], blocks[3])), D)
         assert ws.gauge.live_blocks == 1  # only the result remains
         out.release()
@@ -316,10 +316,10 @@ class TestInvertFull:
         # The jobs share one BrimReader, which reads without a lock.
         path = tmp_path / "a.brim"
         write_matrix(path, shifted(12, 91))
-        prov = make_file_provider(path, 3)
-        seq = MemorySink(prov.layout)
-        invert_full(prov, seq, jobs=1)
-        par = MemorySink(prov.layout)
-        summary = invert_full(prov, par, jobs=2)
+        with make_file_provider(path, 3) as prov:
+            seq = MemorySink(prov.layout)
+            invert_full(prov, seq, jobs=1)
+            par = MemorySink(prov.layout)
+            summary = invert_full(prov, par, jobs=2)
         assert np.array_equal(seq.finalize(), par.finalize())
         assert summary.jobs == 2

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from bri import (
     BadPartitionError,
     BlockLayout,
+    BrimReader,
     DimensionMismatchError,
     IndexOutOfRangeError,
     KernelSpec,
+    SingularBlockError,
+    SingularPivotError,
     Workspace,
     gauge_scope,
     invert_block,
@@ -74,26 +77,53 @@ class TestFileProvider:
         path = tmp_path / "a.brim"
         write_matrix(path, a)
         mem = make_memory_provider(a, 3)
-        fil = make_file_provider(path, 3)
-        for alpha in range(1, 4):
-            for beta in range(1, 4):
-                x = mem.fetch_block(alpha, beta, ws)
-                y = fil.fetch_block(alpha, beta, ws)
-                assert np.array_equal(x.data, y.data)
-                x.release()
-                y.release()
+        with make_file_provider(path, 3) as fil:
+            for alpha in range(1, 4):
+                for beta in range(1, 4):
+                    x = mem.fetch_block(alpha, beta, ws)
+                    y = fil.fetch_block(alpha, beta, ws)
+                    assert np.array_equal(x.data, y.data)
+                    x.release()
+                    y.release()
 
     def test_single_fetch_stays_block_sized(self, tmp_path, ws):
         # resident gauge-tracked memory per fetch: the one returned block
         a = rng(23).standard_normal((64, 64))
         path = tmp_path / "a.brim"
         write_matrix(path, a)
-        prov = make_file_provider(path, 4)
-        with gauge_scope(ws.gauge) as scope:
+        with make_file_provider(path, 4) as prov, gauge_scope(ws.gauge) as scope:
             blk = prov.fetch_block(3, 2, ws)
             blk.release()
         assert scope.peak_blocks <= 2
         np.testing.assert_array_equal(blk.data, a[32:48, 16:32])
+
+    def test_unpadded_block_run_reads_once_per_fetch(self, tmp_path, monkeypatch, ws):
+        # k = 4 fetches 4^(k-1) = 64 blocks; each whole block is one read
+        path = tmp_path / "a.brim"
+        write_matrix(path, shifted(16, 24))
+        calls = []
+        read_rect = BrimReader.read_rect
+
+        def counted(self, *rect):
+            calls.append(rect)
+            return read_rect(self, *rect)
+
+        monkeypatch.setattr(BrimReader, "read_rect", counted)
+        with make_file_provider(path, 4) as prov:
+            invert_block(prov, 3, 2, ws).release()
+        assert len(calls) == 64
+        assert all(r1 - r0 == c1 - c0 == 4 for r0, r1, c0, c1 in calls)
+
+    def test_provider_closes_its_file(self, tmp_path):
+        path = tmp_path / "a.brim"
+        write_matrix(path, np.eye(4))
+        with make_file_provider(path, 2) as prov:
+            view, _ = prov.run_view(2, 1)
+            assert view.source is prov.source
+        assert prov.source.reader._fh.closed
+        with make_memory_provider(np.eye(4), 2) as mem:  # nothing to close
+            pass
+        assert mem.fetch_block(1, 1).data[0, 0] == 1.0
 
 
 class TestKernelProvider:
@@ -272,6 +302,25 @@ class TestRunViewMaps:
         assert finish is None
         np.testing.assert_array_equal(materialize(view, trim=False), materialize(permute_provider(prov, 2, 3), trim=False))
 
+    def test_padded_permuted_view_inverts_right_or_raises(self, ws):
+        # A view that moved the padding has no identity corner for the
+        # shifted window's finisher to restore; it keeps the plain exchange,
+        # whose pivots may be singular but whose answers are never wrong.
+        view = permute_provider(make_memory_provider(shifted(10, 58), 4), 4, 4)
+        inv = np.linalg.inv(materialize(view, trim=False))
+        solved = 0
+        for alpha in range(1, 5):
+            for beta in range(1, 5):
+                try:
+                    blk = invert_block(view, alpha, beta, ws)
+                except (SingularBlockError, SingularPivotError):
+                    continue
+                want = inv[(alpha - 1) * 3 : alpha * 3, (beta - 1) * 3 : beta * 3]
+                np.testing.assert_allclose(blk.data, want, atol=1e-9)
+                blk.release()
+                solved += 1
+        assert solved > 0
+
     def test_padding_wider_than_two_blocks_rejected(self):
         prov = make_memory_provider(shifted(3, 55), 7)  # l = 4 > 2b = 2
         with pytest.raises(BadPartitionError, match="padding"):
@@ -308,4 +357,28 @@ class TestRunViewMaps:
         rpad = np.flatnonzero(rmap >= lay.m)
         np.testing.assert_array_equal(rpad, np.flatnonzero(cmap >= lay.m))
         np.testing.assert_array_equal(rmap[rpad], cmap[rpad])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 40),
+        k=st.integers(2, 8),
+        alpha=st.integers(1, 8),
+        beta=st.integers(1, 8),
+    )
+    def test_permuted_view_gathers_swapped_blocks(self, m, k, alpha, beta):
+        # padded layouts included: the identity corner moves with its blocks
+        if alpha > k or beta > k:
+            return
+        lay = BlockLayout.for_order(m, k)
+        gamma = np.eye(lay.n)
+        gamma[:m, :m] = rng(57).standard_normal((m, m))
+        prov = make_memory_provider(gamma[:m, :m], k)
+
+        def swapped(t):
+            order = list(range(k))
+            order[0], order[t - 1] = order[t - 1], order[0]
+            return [blk * lay.b + i for blk in order for i in range(lay.b)]
+
+        view = materialize(permute_provider(prov, alpha, beta), trim=False)
+        np.testing.assert_array_equal(view, gamma[np.ix_(swapped(beta), swapped(alpha))])
 
