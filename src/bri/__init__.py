@@ -20,7 +20,6 @@ from .engine import (
     invert_full,
     reduce_frame,
     root_frame,
-    schur_eliminate,
     split_frame,
 )
 from .errors import (
@@ -50,7 +49,7 @@ from .formats import (
     write_bench_csv,
     write_matrix,
 )
-from .instrumentation import BenchRecord, MemoryGauge, OpCounters, gauge_scope, predicted_counts
+from .instrumentation import BenchRecord, MemoryGauge, OpCounters, predicted_counts
 from .providers import (
     BlockLayout,
     BlockProvider,

@@ -74,10 +74,12 @@ def materialize(provider: BlockProvider, trim: bool = True, limit: int = MATERIA
     lay = provider.layout
     if lay.n > limit:
         raise MaterializeLimitError(lay.n, limit)
+    ws = Workspace()
     out = np.empty((lay.n, lay.n))
     for alpha in range(1, lay.k + 1):
         for beta in range(1, lay.k + 1):
-            blk = provider.fetch_block(alpha, beta)
+            blk = provider.fetch_block(alpha, beta, ws)
             r0, c0 = (alpha - 1) * lay.b, (beta - 1) * lay.b
             out[r0 : r0 + lay.b, c0 : c0 + lay.b] = blk.data
+            blk.release()
     return out[: lay.m, : lay.m] if trim else out

@@ -25,7 +25,7 @@ from .core import Workspace
 from .engine import invert_block, invert_full
 from .errors import BriError, MaterializeLimitError, UsageError
 from .formats import BrimSink, MemorySink, read_header, read_matrix, write_bench_csv, write_matrix
-from .instrumentation import BenchRecord, gauge_scope
+from .instrumentation import BenchRecord
 from .providers import KernelSpec, kernel_matrix, make_file_provider, make_memory_provider
 
 __all__ = ["main"]
@@ -73,14 +73,6 @@ def _build_parser() -> _Parser:
     inv.add_argument("--out", required=True, help="output BRIM file")
     inv.add_argument("--k", type=int, help="block partition (required for bri)")
     inv.add_argument("--method", choices=("bri", "lu"), default="bri")
-    inv.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="concurrent block runs (bri only; default 1). Measured on 2 cores, jobs > 1 "
-        "never paid: wide blocks already keep every core busy in BLAS, and Python's "
-        "interpreter lock serializes narrow ones. See the README.",
-    )
     inv.add_argument("--seed", type=int, default=42, help="provenance tag for summaries")
     inv.set_defaults(func=cmd_invert)
 
@@ -179,12 +171,10 @@ def cmd_invert(args) -> int:
         return 0
     if args.k is None:
         raise UsageError("invert --method bri needs --k")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     provider = make_file_provider(args.input, args.k)
     lay = provider.layout
     with provider, BrimSink(args.out, lay) as sink:
-        summary = invert_full(provider, sink, jobs=args.jobs)
+        summary = invert_full(provider, sink)
     c = summary.counters
     info = {
         "command": "invert",
@@ -193,7 +183,6 @@ def cmd_invert(args) -> int:
         "k": lay.k,
         "b": lay.b,
         "l": lay.l,
-        "jobs": summary.jobs,
         "wall_ms": summary.wall_ms,
         "peak_blocks": summary.peak_blocks,
         "peak_bytes": summary.peak_bytes,
@@ -221,7 +210,7 @@ def cmd_invert_block(args) -> int:
     provider = make_file_provider(args.input, args.k)
     lay = provider.layout
     ws = Workspace()
-    with provider, gauge_scope(ws.gauge) as scope:
+    with provider:
         block = invert_block(provider, args.row, args.col, ws)
     data = block.data.copy()
     block.release()
@@ -233,13 +222,13 @@ def cmd_invert_block(args) -> int:
         "row": args.row,
         "col": args.col,
         "b": lay.b,
-        "peak_blocks": scope.peak_blocks,
+        "peak_blocks": ws.gauge.peak_blocks,
         "bound": bound,
         "block": data.tolist(),
     }
     lines = [
         f"block ({args.row}, {args.col}) of the inverse, order {lay.b}",
-        f"peak {scope.peak_blocks} live blocks, bound {bound}",
+        f"peak {ws.gauge.peak_blocks} live blocks, bound {bound}",
     ]
     if lay.b == 1:
         lines.insert(0, f"value: {data[0, 0]:.12g}")
@@ -258,14 +247,14 @@ def cmd_verify(args) -> int:
     m = read_header(args.input).m
     if m > MATERIALIZE_LIMIT:
         raise MaterializeLimitError(m, MATERIALIZE_LIMIT)
+    if args.inverse:
+        order = read_header(args.inverse).m
+        if order != m:
+            raise UsageError(f"inverse order {order} does not match input order {m}")
     matrix = read_matrix(args.input)
     reference = lu_invert_full(matrix)
     if args.inverse:
         candidate = read_matrix(args.inverse)
-        if candidate.shape != matrix.shape:
-            raise UsageError(
-                f"inverse order {candidate.shape[0]} does not match input order {matrix.shape[0]}"
-            )
     else:
         provider = make_memory_provider(matrix, args.k)
         sink = MemorySink(provider.layout)

@@ -49,15 +49,15 @@ class Workspace:
     """Allocation context: one op-counter tally plus one memory gauge.
 
     Create one per inversion run; merge counters afterwards if several
-    runs need a combined tally. Not shared mutable state: concurrent runs
-    each get their own workspace.
+    runs need a combined tally. Every block belongs to exactly one
+    workspace.
     """
 
     __slots__ = ("counters", "gauge")
 
-    def __init__(self, counters: OpCounters | None = None, gauge: MemoryGauge | None = None):
-        self.counters = counters if counters is not None else OpCounters()
-        self.gauge = gauge if gauge is not None else MemoryGauge()
+    def __init__(self):
+        self.counters = OpCounters()
+        self.gauge = MemoryGauge()
 
     def from_array(self, a) -> "Block":
         """Allocate a block from a copy of array-like data."""
@@ -73,7 +73,7 @@ class Block:
 
     __slots__ = ("data", "_ws", "_released")
 
-    def __init__(self, buf: np.ndarray, ws: Workspace | None = None):
+    def __init__(self, buf: np.ndarray, ws: Workspace):
         if buf.ndim != 2 or buf.shape[0] != buf.shape[1]:
             raise DimensionMismatchError(f"block buffer must be square, got {buf.shape}")
         # Blocks own writable scratch: in-place subtract and the in-place
@@ -88,24 +88,18 @@ class Block:
         self.data = buf
         self._ws = ws
         self._released = False
-        if ws is not None:
-            ws.gauge.on_alloc()
+        ws.gauge.on_alloc()
 
     @property
     def order(self) -> int:
         return self.data.shape[0]
-
-    @property
-    def workspace(self) -> Workspace | None:
-        return self._ws
 
     def release(self) -> None:
         """Deregister this block's buffer from the gauge."""
         if self._released:
             raise GaugeUnderflowError("block released twice")
         self._released = True
-        if self._ws is not None:
-            self._ws.gauge.on_release()
+        self._ws.gauge.on_release()
 
     def __repr__(self) -> str:  # pragma: no cover
         state = "released" if self._released else "live"
@@ -116,11 +110,6 @@ def _require_same_order(x: Block, y: Block) -> int:
     if x.order != y.order:
         raise DimensionMismatchError(f"operand orders differ: {x.order} vs {y.order}")
     return x.order
-
-
-def _count(ws: Workspace | None, field: str) -> None:
-    if ws is not None:
-        setattr(ws.counters, field, getattr(ws.counters, field) + 1)
 
 
 def multiply(x: Block, y: Block) -> Block:
@@ -138,24 +127,19 @@ def multiply(x: Block, y: Block) -> Block:
     if blas.dgemm(1.0, y.data.T, x.data.T, beta=0.0, c=c, overwrite_c=1) is not c:
         raise RuntimeError("dgemm wrote its product to a copy of the output buffer")
     out = Block(buf, x._ws)
-    _count(x._ws, "block_multiplications")
+    x._ws.counters.block_multiplications += 1
     return out
 
 
-def subtract(x: Block, y: Block, in_place: bool = False) -> Block:
-    """Difference x - y. With ``in_place`` the result overwrites x's
-    buffer and no new buffer is allocated (the returned block *is* x).
+def subtract(x: Block, y: Block) -> Block:
+    """Difference x - y, written over x's buffer; the returned block *is* x.
 
-    Counts as one block subtraction either way.
+    Allocates nothing. Counts as one block subtraction.
     """
     _require_same_order(x, y)
-    if in_place:
-        np.subtract(x.data, y.data, out=x.data)
-        _count(x._ws, "block_subtractions")
-        return x
-    out = Block(x.data - y.data, x._ws)
-    _count(x._ws, "block_subtractions")
-    return out
+    np.subtract(x.data, y.data, out=x.data)
+    x._ws.counters.block_subtractions += 1
+    return x
 
 
 def _singular_index(diag: np.ndarray, order: int, scale: float) -> int:
@@ -194,5 +178,5 @@ def invert_dense(x: Block) -> Block:
     _, info = lapack.dgetrs(lu, piv, res.data.T, trans=0, overwrite_b=1)
     if info != 0:  # pragma: no cover
         raise SingularBlockError(abs(info), order)
-    _count(x._ws, "block_inversions")
+    x._ws.counters.block_inversions += 1
     return res

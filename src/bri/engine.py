@@ -25,13 +25,15 @@ one finished block plus at most three transients at the fold point, which
 keeps the peak number of live buffers during one block run at k + 1,
 well under the asserted 2k + 4 envelope. There is no memoization across
 branches: subtrees refetch blocks from the provider by design.
+
+A full inverse is k*k such runs, one after another on the calling thread,
+so its peak is that of its largest run: time is traded for memory, one
+block at a time.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -55,7 +57,6 @@ __all__ = [
     "root_frame",
     "frame_at",
     "split_frame",
-    "schur_eliminate",
     "reduce_frame",
     "invert_block",
     "invert_full",
@@ -155,7 +156,7 @@ _PLAN: dict[Quadrant, tuple[Quadrant, Quadrant, Quadrant, Quadrant]] = {
 }
 
 
-def _fold(get: Callable[[Quadrant], Block], q: Quadrant, ws: Workspace | None) -> Block:
+def _fold(get: Callable[[Quadrant], Block], q: Quadrant, ws: Workspace) -> Block:
     """One Schur reduction, evaluating operands lazily in release order.
 
     ``get(quadrant)`` yields the operand at that quadrant when the fold
@@ -164,8 +165,7 @@ def _fold(get: Callable[[Quadrant], Block], q: Quadrant, ws: Workspace | None) -
     r's buffer).
     """
     pivot_q, rt_q, l_q, r_q = _PLAN[q]
-    if ws is not None:
-        ws.counters.schur_nodes += 1
+    ws.counters.schur_nodes += 1
     p = get(pivot_q)
     inv = invert_dense(p)
     p.release()
@@ -178,27 +178,15 @@ def _fold(get: Callable[[Quadrant], Block], q: Quadrant, ws: Workspace | None) -
     l.release()
     t.release()
     r = get(r_q)
-    out = subtract(r, u, in_place=True)
+    out = subtract(r, u)
     u.release()
     return out
-
-
-def schur_eliminate(g, q: Quadrant) -> Block:
-    """Schur complement of quadrant q in the 2x2 block arrangement g.
-
-    g is ((a, b), (c, d)) row-major; q = D yields a - b d^-1 c and the
-    other quadrants follow by position. All four input blocks are consumed
-    (released); the result reuses the surviving quadrant's buffer.
-    """
-    (a, b), (c, d) = g
-    blocks = {Quadrant.A: a, Quadrant.B: b, Quadrant.C: c, Quadrant.D: d}
-    return _fold(blocks.__getitem__, q, blocks[q].workspace)
 
 
 def reduce_frame(
     provider: BlockProvider,
     frame: Frame,
-    ws: Workspace | None = None,
+    ws: Workspace,
     trace: Callable[[BranchPath, Frame, np.ndarray], None] | None = None,
     _path: BranchPath | None = None,
 ) -> Block:
@@ -285,48 +273,30 @@ class InversionSummary:
     l: int
     wall_ms: float
     counters: OpCounters
-    peak_blocks: int  # sum of the `jobs` largest run peaks: a bound on concurrently live buffers
+    peak_blocks: int  # the largest single-run peak of live block buffers
     peak_bytes: int
-    jobs: int = 1
 
 
-def invert_full(
-    provider: BlockProvider,
-    sink,
-    ws: Workspace | None = None,
-    jobs: int = 1,
-) -> InversionSummary:
+def invert_full(provider: BlockProvider, sink) -> InversionSummary:
     """All k*k inverse blocks, streamed to ``sink.put(alpha, beta, data)``.
 
-    Runs row-major over (alpha, beta) and never holds more than one output
-    block per worker. Every run gets its own workspace; the summary reports
-    the merged counters and, as peak, the sum of the ``jobs`` largest run
-    peaks, which with one job is the single-run high-water mark. The
-    caller's ``ws``, if given, receives the merged counters. Runs stay on
-    the calling thread with one job and go to a thread pool with more.
+    Runs row-major over (alpha, beta), one block run at a time on the
+    calling thread, and never holds more than one output block. Every run
+    gets its own workspace; the summary reports the merged counters and,
+    as peak, the largest run's high-water mark.
     """
     lay = provider.layout
-    pairs = [(a, b) for a in range(1, lay.k + 1) for b in range(1, lay.k + 1)]
-    njobs = max(1, min(jobs, len(pairs)))
-
-    def run_one(pair: tuple[int, int]) -> tuple[OpCounters, int]:
-        w = Workspace()
-        blk = invert_block(provider, pair[0], pair[1], w)
-        sink.put(pair[0], pair[1], blk.data)
-        blk.release()
-        return w.counters, w.gauge.peak_blocks
-
     t0 = time.perf_counter()
     merged = OpCounters()
-    peaks: list[int] = []
-    with ExitStack() as stack:
-        run_map = map if njobs == 1 else stack.enter_context(ThreadPoolExecutor(njobs)).map
-        for counters, run_peak in run_map(run_one, pairs):
-            merged.merge(counters)
-            peaks.append(run_peak)
-    peak = sum(sorted(peaks)[-njobs:])
-    if ws is not None:
-        ws.counters.merge(merged)
+    peak = 0
+    for alpha in range(1, lay.k + 1):
+        for beta in range(1, lay.k + 1):
+            ws = Workspace()
+            blk = invert_block(provider, alpha, beta, ws)
+            sink.put(alpha, beta, blk.data)
+            blk.release()
+            merged.merge(ws.counters)
+            peak = max(peak, ws.gauge.peak_blocks)
 
     wall_ms = (time.perf_counter() - t0) * 1e3
     return InversionSummary(
@@ -338,5 +308,4 @@ def invert_full(
         counters=merged,
         peak_blocks=peak,
         peak_bytes=peak * 8 * lay.b * lay.b,
-        jobs=njobs,
     )

@@ -16,8 +16,9 @@ integer equality against measured counters.
 
 The memory gauge counts *live engine-managed block buffers* (b*b float64
 each), not heap bytes: provider-internal file buffers and BLAS scratch are
-outside it. Counters and gauges are plain per-run objects, merged by the
-caller; nothing in this module is global state.
+outside it. Each workspace holds one tally and one gauge for one run;
+a full inversion merges the tallies of its runs and reports the largest
+run peak. Nothing in this module is global state.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "MemoryGauge",
     "BenchRecord",
     "predicted_counts",
-    "gauge_scope",
 ]
 
 
@@ -67,44 +67,15 @@ class MemoryGauge:
         self.live_blocks = 0
         self.peak_blocks = 0
 
-    def on_alloc(self, n: int = 1) -> None:
-        self.live_blocks += n
+    def on_alloc(self) -> None:
+        self.live_blocks += 1
         if self.live_blocks > self.peak_blocks:
             self.peak_blocks = self.live_blocks
 
-    def on_release(self, n: int = 1) -> None:
-        if self.live_blocks - n < 0:
-            raise GaugeUnderflowError(
-                f"release of {n} buffer(s) with only {self.live_blocks} live"
-            )
-        self.live_blocks -= n
-
-    def reset_peak(self) -> None:
-        """Start a new measurement window at the current live count."""
-        self.peak_blocks = self.live_blocks
-
-
-class gauge_scope:
-    """Context manager bracketing one run's peak measurement.
-
-    Resets the gauge's peak on entry so back-to-back runs measure
-    independently; on exit ``peak_blocks`` holds the run's high-water mark.
-
-        with gauge_scope(ws.gauge) as scope:
-            invert_block(...)
-        assert scope.peak_blocks <= 2 * k + 4
-    """
-
-    def __init__(self, gauge: MemoryGauge):
-        self.gauge = gauge
-        self.peak_blocks = 0
-
-    def __enter__(self) -> "gauge_scope":
-        self.gauge.reset_peak()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.peak_blocks = self.gauge.peak_blocks
+    def on_release(self) -> None:
+        if self.live_blocks == 0:
+            raise GaugeUnderflowError("release of a buffer with none live")
+        self.live_blocks -= 1
 
 
 def predicted_counts(k: int) -> OpCounters:

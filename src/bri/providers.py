@@ -262,7 +262,7 @@ class BlockProvider:
         rpad = np.flatnonzero(self._rmap >= layout.m)
         self._ones = list(zip(rpad.tolist(), where[self._rmap[rpad]].tolist()))
 
-    def fetch_block(self, alpha: int, beta: int, ws: Workspace | None = None) -> Block:
+    def fetch_block(self, alpha: int, beta: int, ws: Workspace) -> Block:
         """Fetch block (alpha, beta), 1-based, as one freshly allocated buffer."""
         k, b = self.layout.k, self.layout.b
         if not (1 <= alpha <= k and 1 <= beta <= k):

@@ -15,10 +15,10 @@ def shifted(m: int, seed: int) -> np.ndarray:
     return rng(seed).standard_normal((m, m)) + m * np.eye(m)
 
 
-def full_inverse(matrix: np.ndarray, k: int, ws: Workspace | None = None) -> np.ndarray:
+def full_inverse(matrix: np.ndarray, k: int) -> np.ndarray:
     provider = make_memory_provider(matrix, k)
     sink = MemorySink(provider.layout)
-    invert_full(provider, sink, ws)
+    invert_full(provider, sink)
     return sink.finalize()
 
 

@@ -24,7 +24,6 @@ from bri import (
     SingularPivotError,
     Workspace,
     bench_lu,
-    gauge_scope,
     invert_block,
     invert_full,
     kernel_matrix,
@@ -155,11 +154,10 @@ def test_criterion_05_memory_contract(sweep_192):
         for b in (1, 4, 16):
             ws = Workspace()
             prov = make_memory_provider(shifted(k * b, 300 + k * b), k)
-            with gauge_scope(ws.gauge) as scope:
-                out = invert_block(prov, 1, 1, ws)
-                out.release()
-            ok = ok and scope.peak_blocks <= 2 * k + 4
-            margin = 2 * k + 4 - scope.peak_blocks
+            out = invert_block(prov, 1, 1, ws)
+            out.release()
+            ok = ok and ws.gauge.peak_blocks <= 2 * k + 4
+            margin = 2 * k + 4 - ws.gauge.peak_blocks
             worst_margin = margin if worst_margin is None else min(worst_margin, margin)
     _, peaks, _ = sweep_192
     trend = peaks[2] > peaks[4] > peaks[8]

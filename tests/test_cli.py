@@ -138,6 +138,14 @@ class TestInvert:
         assert info["block_multiplications"] == 16 * 42
         assert info["peak_blocks"] <= 12
 
+    def test_jobs_flag_is_usage_error(self, capsys, tmp_path):
+        # block runs are sequential; there is no --jobs flag
+        src = tmp_path / "a.brim"
+        write_matrix(src, shifted(8, 104))
+        code, _, err = run(capsys, "invert", "--in", str(src), "--out", str(tmp_path / "x.brim"),
+                           "--k", "4", "--jobs", "2")
+        assert code == 3 and "--jobs" in err
+
 
 class TestInvertBlock:
     def test_scalar_value_output(self, capsys, tmp_path):
@@ -223,6 +231,20 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--in", str(src), "--k", "2")
         assert code == 3
         assert "order 6" in err
+
+    def test_inverse_of_other_order_is_refused_unread(self, capsys, monkeypatch, tmp_path):
+        src, other = tmp_path / "a.brim", tmp_path / "b.brim"
+        write_matrix(src, shifted(6, 111))
+        write_matrix(other, np.eye(9))
+
+        def unread(path):
+            raise AssertionError("verify read a payload before checking the inverse's order")
+
+        monkeypatch.setattr(bri.cli, "read_matrix", unread)
+        code, _, err = run(capsys, "verify", "--in", str(src), "--k", "2",
+                           "--inverse", str(other))
+        assert code == 3
+        assert "inverse order 9" in err
 
 
 class TestBench:

@@ -12,18 +12,14 @@ from bri import (
     SingularPivotError,
     Workspace,
     frame_at,
-    gauge_scope,
     invert_block,
     invert_full,
     lu_invert_full,
-    make_file_provider,
     make_memory_provider,
     predicted_counts,
     reduce_frame,
     root_frame,
-    schur_eliminate,
     split_frame,
-    write_matrix,
 )
 from conftest import full_inverse, rng, shifted
 
@@ -88,42 +84,6 @@ class TestFrames:
             frame_at(4, (B,))
         with pytest.raises(FrameTooSmallError):
             frame_at(4, ())
-
-
-class TestSchurEliminate:
-    def test_block_diagonal_keeps_surviving_quadrant(self, ws):
-        x = rng(80).standard_normal((2, 2))
-        g = (
-            (ws.from_array(x), ws.from_array(np.zeros((2, 2)))),
-            (ws.from_array(np.zeros((2, 2))), ws.from_array(np.eye(2) * 2.0)),
-        )
-        out = schur_eliminate(g, D)
-        np.testing.assert_array_equal(out.data, x)
-        out.release()
-        assert ws.gauge.live_blocks == 0
-
-    def test_scalar_pivot_on_d(self, ws):
-        g = (
-            (ws.from_array([[4.0]]), ws.from_array([[2.0]])),
-            (ws.from_array([[1.0]]), ws.from_array([[3.0]])),
-        )
-        out = schur_eliminate(g, D)
-        assert out.data[0, 0] == pytest.approx(10.0 / 3.0, abs=1e-15)
-
-    def test_scalar_pivot_on_c(self, ws):
-        # eliminating C keeps B: 2 - 1 * (1/4) * 8 = 0
-        g = (
-            (ws.from_array([[1.0]]), ws.from_array([[2.0]])),
-            (ws.from_array([[4.0]]), ws.from_array([[8.0]])),
-        )
-        out = schur_eliminate(g, C)
-        assert out.data[0, 0] == pytest.approx(0.0, abs=1e-15)
-
-    def test_consumes_all_inputs(self, ws):
-        blocks = [ws.from_array(np.eye(2)) for _ in range(4)]
-        out = schur_eliminate(((blocks[0], blocks[1]), (blocks[2], blocks[3])), D)
-        assert ws.gauge.live_blocks == 1  # only the result remains
-        out.release()
 
 
 class TestReduceFrame:
@@ -197,10 +157,22 @@ class TestInvertBlock:
     def test_peak_live_blocks_bound(self, k, b):
         ws = Workspace()
         prov = make_memory_provider(shifted(k * b, 83), k)
-        with gauge_scope(ws.gauge) as scope:
-            out = invert_block(prov, 1, 1, ws)
-            out.release()
-        assert scope.peak_blocks <= 2 * k + 4
+        out = invert_block(prov, 1, 1, ws)
+        out.release()
+        assert ws.gauge.peak_blocks <= 2 * k + 4
+
+    # (m, k): unpadded, and padded with l = 2 and l = 3
+    @pytest.mark.parametrize("m, k", [(8, 2), (12, 3), (8, 4), (10, 4), (13, 4), (15, 5)])
+    def test_peak_is_k_plus_one_for_every_target(self, m, k):
+        # the buffer discipline of the engine docstring: k + 1 live blocks
+        prov = make_memory_provider(shifted(m, 92), k)
+        for alpha in range(1, k + 1):
+            for beta in range(1, k + 1):
+                ws = Workspace()
+                invert_block(prov, alpha, beta, ws).release()
+                assert ws.gauge.peak_blocks == k + 1, (alpha, beta)
+                assert ws.gauge.live_blocks == 0
+        assert invert_full(prov, MemorySink(prov.layout)).peak_blocks == k + 1
 
     def test_k_invariance_of_full_inverse(self):
         a = shifted(12, 84)
@@ -301,25 +273,3 @@ class TestInvertFull:
         assert summary.peak_blocks <= 2 * 4 + 4
         assert summary.peak_bytes == summary.peak_blocks * 8 * 2 * 2
         assert summary.wall_ms > 0
-
-    def test_parallel_runs_bit_identical(self):
-        a = shifted(12, 90)
-        prov = make_memory_provider(a, 3)
-        seq = MemorySink(prov.layout)
-        invert_full(prov, seq, jobs=1)
-        par = MemorySink(prov.layout)
-        summary = invert_full(prov, par, jobs=2)
-        assert np.array_equal(seq.finalize(), par.finalize())
-        assert summary.jobs == 2
-
-    def test_parallel_file_runs_bit_identical(self, tmp_path):
-        # The jobs share one BrimReader, which reads without a lock.
-        path = tmp_path / "a.brim"
-        write_matrix(path, shifted(12, 91))
-        with make_file_provider(path, 3) as prov:
-            seq = MemorySink(prov.layout)
-            invert_full(prov, seq, jobs=1)
-            par = MemorySink(prov.layout)
-            summary = invert_full(prov, par, jobs=2)
-        assert np.array_equal(seq.finalize(), par.finalize())
-        assert summary.jobs == 2

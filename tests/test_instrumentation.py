@@ -9,7 +9,6 @@ from bri import (
     GaugeUnderflowError,
     MemoryGauge,
     OpCounters,
-    gauge_scope,
     predicted_counts,
 )
 
@@ -46,35 +45,20 @@ class TestPredictedCounts:
 class TestMemoryGauge:
     def test_peak_tracks_high_water(self):
         g = MemoryGauge()
-        g.on_alloc(3)
-        g.on_release(2)
-        g.on_alloc(1)
+        for _ in range(3):
+            g.on_alloc()
+        g.on_release()
+        g.on_release()
+        g.on_alloc()
         assert g.live_blocks == 2
         assert g.peak_blocks == 3
 
     def test_release_below_zero_raises(self):
         g = MemoryGauge()
         g.on_alloc()
+        g.on_release()
         with pytest.raises(GaugeUnderflowError):
-            g.on_release(2)
-
-    def test_reset_peak_starts_new_window(self):
-        g = MemoryGauge()
-        g.on_alloc(5)
-        g.on_release(5)
-        g.reset_peak()
-        g.on_alloc(2)
-        g.on_release(2)
-        assert g.peak_blocks == 2
-
-    def test_gauge_scope_captures_run_peak(self):
-        g = MemoryGauge()
-        g.on_alloc(4)
-        g.on_release(4)
-        with gauge_scope(g) as scope:
-            g.on_alloc(2)
-            g.on_release(2)
-        assert scope.peak_blocks == 2
+            g.on_release()
 
 
 class TestBenchRecord:

@@ -15,7 +15,6 @@ from bri import (
     SingularBlockError,
     SingularPivotError,
     Workspace,
-    gauge_scope,
     invert_block,
     kernel_matrix,
     make_file_provider,
@@ -63,12 +62,13 @@ class TestMemoryProvider:
                 blk.release()
         assert ws.gauge.live_blocks == 0
 
-    def test_source_copy_is_isolated(self):
+    def test_source_copy_is_isolated(self, ws):
         a = np.eye(2)
         prov = make_memory_provider(a, 2)
         a[0, 0] = 9.0
-        blk = prov.fetch_block(1, 1)
+        blk = prov.fetch_block(1, 1, ws)
         assert blk.data[0, 0] == 1.0
+        blk.release()
 
 
 class TestFileProvider:
@@ -91,10 +91,10 @@ class TestFileProvider:
         a = rng(23).standard_normal((64, 64))
         path = tmp_path / "a.brim"
         write_matrix(path, a)
-        with make_file_provider(path, 4) as prov, gauge_scope(ws.gauge) as scope:
+        with make_file_provider(path, 4) as prov:
             blk = prov.fetch_block(3, 2, ws)
             blk.release()
-        assert scope.peak_blocks <= 2
+        assert ws.gauge.peak_blocks <= 2
         np.testing.assert_array_equal(blk.data, a[32:48, 16:32])
 
     def test_unpadded_block_run_reads_once_per_fetch(self, tmp_path, monkeypatch, ws):
@@ -114,7 +114,7 @@ class TestFileProvider:
         assert len(calls) == 64
         assert all(r1 - r0 == c1 - c0 == 4 for r0, r1, c0, c1 in calls)
 
-    def test_provider_closes_its_file(self, tmp_path):
+    def test_provider_closes_its_file(self, tmp_path, ws):
         path = tmp_path / "a.brim"
         write_matrix(path, np.eye(4))
         with make_file_provider(path, 2) as prov:
@@ -123,7 +123,7 @@ class TestFileProvider:
         assert prov.source.reader._fh.closed
         with make_memory_provider(np.eye(4), 2) as mem:  # nothing to close
             pass
-        assert mem.fetch_block(1, 1).data[0, 0] == 1.0
+        assert mem.fetch_block(1, 1, ws).data[0, 0] == 1.0
 
 
 class TestKernelProvider:
