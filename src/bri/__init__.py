@@ -8,14 +8,13 @@ block buffers alive. A dense LU baseline, operation counters, a memory
 gauge, and a benchmark harness round out the package.
 """
 
-from .baseline import MATERIALIZE_LIMIT, bench_lu, lu_invert_full, materialize
+from .baseline import MATERIALIZE_LIMIT, bench_lu, lu_invert_full
 from .core import Block, Workspace, invert_dense, multiply, subtract
 from .engine import (
     BranchPath,
     Frame,
     InversionSummary,
     Quadrant,
-    frame_at,
     invert_block,
     invert_full,
     reduce_frame,
@@ -43,7 +42,6 @@ from .formats import (
     BrimReader,
     BrimSink,
     MemorySink,
-    read_bench_csv,
     read_header,
     read_matrix,
     write_bench_csv,
@@ -58,7 +56,6 @@ from .providers import (
     make_file_provider,
     make_kernel_provider,
     make_memory_provider,
-    permute_provider,
 )
 
 __version__ = "0.1.0"

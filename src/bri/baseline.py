@@ -13,14 +13,13 @@ import time
 import numpy as np
 
 from .core import Workspace, invert_dense
-from .errors import DimensionMismatchError, MaterializeLimitError, SingularBlockError, SingularMatrixError
+from .errors import DimensionMismatchError, SingularBlockError, SingularMatrixError
 from .instrumentation import BenchRecord
-from .providers import BlockProvider
 
-__all__ = ["lu_invert_full", "bench_lu", "materialize", "MATERIALIZE_LIMIT"]
+__all__ = ["lu_invert_full", "bench_lu", "MATERIALIZE_LIMIT"]
 
-# Refuse to build dense operands beyond this order by default; oracles and
-# the verify path are meant for desk-scale checks.
+# The largest input order `bri verify` accepts: it holds the input, its
+# dense LU inverse and the candidate at once.
 MATERIALIZE_LIMIT = 4096
 
 
@@ -63,23 +62,3 @@ def bench_lu(a: np.ndarray, seed: int) -> tuple[np.ndarray, BenchRecord]:
         seed=seed,
     )
     return inv, record
-
-
-def materialize(provider: BlockProvider, trim: bool = True, limit: int = MATERIALIZE_LIMIT) -> np.ndarray:
-    """Assemble a provider's matrix densely (tests and the verify path).
-
-    With ``trim`` the result is the original m-by-m matrix; without it the
-    full padded working matrix of order m + l, identity corner included.
-    """
-    lay = provider.layout
-    if lay.n > limit:
-        raise MaterializeLimitError(lay.n, limit)
-    ws = Workspace()
-    out = np.empty((lay.n, lay.n))
-    for alpha in range(1, lay.k + 1):
-        for beta in range(1, lay.k + 1):
-            blk = provider.fetch_block(alpha, beta, ws)
-            r0, c0 = (alpha - 1) * lay.b, (beta - 1) * lay.b
-            out[r0 : r0 + lay.b, c0 : c0 + lay.b] = blk.data
-            blk.release()
-    return out[: lay.m, : lay.m] if trim else out

@@ -43,7 +43,6 @@ import numpy as np
 from .core import Block, Workspace, invert_dense, multiply, subtract
 from .errors import (
     FrameTooSmallError,
-    IndexOutOfRangeError,
     SingularBlockError,
     SingularPivotError,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "Frame",
     "BranchPath",
     "root_frame",
-    "frame_at",
     "split_frame",
     "reduce_frame",
     "invert_block",
@@ -132,17 +130,6 @@ def split_frame(frame: Frame) -> tuple[Frame, Frame, Frame, Frame]:
         Frame(rx, c[:-1], Quadrant.C),
         Frame(rx, cx, Quadrant.D),
     )
-
-
-def frame_at(k: int, path: BranchPath) -> Frame:
-    """Replay a branch path from the root; path[0] must be the root label A."""
-    frame = root_frame(k)
-    if not path or path[0] is not Quadrant.A:
-        raise FrameTooSmallError(f"branch path must start at the root label A, got {path}")
-    for label in path[1:]:
-        children = split_frame(frame)
-        frame = children["ABCD".index(label.name)]
-    return frame
 
 
 # For pivot quadrant q the reduction is  result = r - l @ (inv(pivot) @ rt)
@@ -245,15 +232,21 @@ def invert_block(
     position; padded off-diagonal targets get an element-shifted window),
     inverts the root reduction, and applies the view's finishing map if
     any. A singular final reduction raises SingularBlockError; singular
-    interior pivots raise SingularPivotError with their branch path.
+    interior pivots raise SingularPivotError with their branch path and
+    the block of the provided matrix at the failing frame's anchor.
     """
     lay = provider.layout
-    if not (1 <= alpha <= lay.k and 1 <= beta <= lay.k):
-        raise IndexOutOfRangeError(f"inverse block ({alpha}, {beta}) outside 1..{lay.k}")
     if ws is None:
         ws = Workspace()
     view, finish = provider.run_view(alpha, beta)
-    red = reduce_frame(view, root_frame(lay.k), ws, trace)
+    try:
+        red = reduce_frame(view, root_frame(lay.k), ws, trace)
+    except SingularPivotError as e:
+        # Name the anchor by the provided matrix's block holding its first row and column.
+        r, c = e.pivot_block
+        b = lay.b
+        anchor = (view._rmap[(r - 1) * b] // b + 1, view._cmap[(c - 1) * b] // b + 1)
+        raise SingularPivotError(e.path, anchor) from e.__cause__
     win = invert_dense(red)
     red.release()
     if finish is None:

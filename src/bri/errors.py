@@ -60,10 +60,13 @@ class SingularMatrixError(BriError):
 class SingularPivotError(BriError):
     """A pivot block inside the recursive reduction was singular.
 
-    Carries the branch path from the root frame to the failing node so the
-    failure can be replayed: ``path`` is a tuple of quadrant labels,
-    ``pivot_block`` the 1-based (row, col) block index pair of the pivot
-    whose inversion failed (anchor position of the failing frame).
+    ``path`` is the tuple of quadrant labels from the root frame to the
+    failing node. It replays on the run's view: follow the labels through
+    split_frame from root_frame(k) on provider.run_view(alpha, beta).
+    ``pivot_block`` is the failing frame's anchor as a 1-based (row, col)
+    block of the matrix the provider reads: on an unpadded layout, the
+    block the view moved there; on a padded one, the block of the padded
+    working matrix holding the anchor's first row and first column.
     """
 
     exit_code = 2

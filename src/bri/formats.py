@@ -21,7 +21,7 @@ import io
 import os
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "MemorySink",
     "CSV_COLUMNS",
     "write_bench_csv",
-    "read_bench_csv",
 ]
 
 MAGIC = b"BRIM"
@@ -280,7 +279,8 @@ class MemorySink(_BlockSink):
         return self.canvas
 
 
-CSV_COLUMNS = ("method", "m", "k", "wall_ms", "peak_bytes", "n_block_inv", "n_block_mul", "seed")
+# BenchRecord's field order is the column order.
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
 
 def write_bench_csv(path, records: Iterable[BenchRecord]) -> None:
@@ -290,27 +290,3 @@ def write_bench_csv(path, records: Iterable[BenchRecord]) -> None:
         writer.writerow(CSV_COLUMNS)
         for rec in records:
             writer.writerow(rec.row())
-
-
-def read_bench_csv(path) -> list[BenchRecord]:
-    with open(os.fspath(path), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if tuple(header or ()) != CSV_COLUMNS:
-            raise FormatError(f"{path}: bad bench CSV header {header}")
-        out = []
-        for row in reader:
-            method, m, k, wall_ms, peak_bytes, n_inv, n_mul, seed = row
-            out.append(
-                BenchRecord(
-                    method=method,
-                    m=int(m),
-                    k=int(k),
-                    wall_ms=float(wall_ms),
-                    peak_bytes=int(peak_bytes),
-                    n_block_inv=int(n_inv),
-                    n_block_mul=int(n_mul),
-                    seed=int(seed),
-                )
-            )
-        return out

@@ -23,7 +23,7 @@ run peak. Nothing in this module is global state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import BadPartitionError, GaugeUnderflowError
 
@@ -110,13 +110,8 @@ class BenchRecord:
     seed: int
 
     def row(self) -> list:
+        """CSV cells in field order, wall time to three decimals."""
         return [
-            self.method,
-            self.m,
-            self.k,
-            f"{self.wall_ms:.3f}",
-            self.peak_bytes,
-            self.n_block_inv,
-            self.n_block_mul,
-            self.seed,
+            f"{self.wall_ms:.3f}" if f.name == "wall_ms" else getattr(self, f.name)
+            for f in fields(self)
         ]

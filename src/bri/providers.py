@@ -9,10 +9,10 @@ block-diagonal extension [[M, 0], [0, I]], which lets every k divide the
 working order, through an element row map and an element column map:
 
 * the providers the make_* functions build use identity maps, and
-* a permuted view composes a block exchange onto its base's maps: block
-  row 1 with beta and block column 1 with alpha, which moves the target
-  block of the inverse into leading position. The (1,1) inverse block of
-  the view equals N_alpha_beta.
+* views come only from run_view, which composes a block exchange onto
+  its provider's maps: block row 1 with beta and block column 1 with
+  alpha, which moves the target block of the inverse into leading
+  position. The (1,1) inverse block of the view equals N_alpha_beta.
 
 Each block's slice of each map is split into contiguous real strips and
 padding positions once, when the view is built, so a fetch only reads.
@@ -54,7 +54,6 @@ __all__ = [
     "make_file_provider",
     "make_kernel_provider",
     "kernel_matrix",
-    "permute_provider",
 ]
 
 
@@ -177,6 +176,13 @@ def _real_window(lay: BlockLayout, j: int) -> int:
     return min(lo, lay.m - lay.b)
 
 
+def _swap(lay: BlockLayout, t: int) -> np.ndarray:
+    """Element map exchanging block 1 with block t."""
+    idx = np.arange(lay.n).reshape(lay.k, lay.b)
+    idx[[0, t - 1]] = idx[[t - 1, 0]]
+    return idx.ravel()
+
+
 def _run_maps(lay: BlockLayout, alpha: int, beta: int) -> tuple[np.ndarray, np.ndarray]:
     """Element row and column maps for one padded-target run.
 
@@ -286,16 +292,22 @@ class BlockProvider:
     def run_view(self, alpha: int, beta: int):
         """View to reduce for target block (alpha, beta), plus a finisher.
 
-        Returns (provider, finish) where finish is None when the run's
-        output is the target block as-is (the plain permuted view), or a
-        callable mapping the computed leading window to the target block.
+        Returns (provider, finish). finish is None when the run's output is
+        the target block as-is: the plain exchange of block row 1 with beta
+        and block column 1 with alpha, whose inverse holds block (alpha,
+        beta) of this provider's inverse at (1, 1). Otherwise finish maps
+        the computed leading window to the target block.
         """
         lay = self.layout
+        if not (1 <= alpha <= lay.k and 1 <= beta <= lay.k):
+            raise IndexOutOfRangeError(f"inverse block ({alpha}, {beta}) outside 1..{lay.k}")
         if lay.l == 0 or self._mapped:
-            # A view already mapped away from the padded matrix has no
-            # identity corner for a finisher to restore; it keeps the plain
-            # exchange, as on unpadded layouts.
-            return permute_provider(self, alpha, beta), None
+            # The plain exchange: block row 1 with beta, block column 1 with
+            # alpha. A view already mapped away from the padded matrix has no
+            # identity corner for a finisher to restore, so it keeps this
+            # exchange too.
+            rmap, cmap = self._rmap[_swap(lay, beta)], self._cmap[_swap(lay, alpha)]
+            return BlockProvider(self.source, lay, rmap, cmap), None
         if lay.k >= 5 and lay.l > 2 * lay.b:
             # Deep reductions invert pivots whose row and column block
             # sets differ over blocks 3..k-1; padding caught there makes
@@ -370,25 +382,3 @@ def make_kernel_provider(spec: KernelSpec, k: int) -> BlockProvider:
 def kernel_matrix(spec: KernelSpec) -> np.ndarray:
     """The full order-(n+1) kernel system matrix as one dense array."""
     return _KernelSource(spec).rect(0, spec.order, 0, spec.order)
-
-
-def _swap(lay: BlockLayout, t: int) -> np.ndarray:
-    """Element map exchanging block 1 with block t."""
-    idx = np.arange(lay.n).reshape(lay.k, lay.b)
-    idx[[0, t - 1]] = idx[[t - 1, 0]]
-    return idx.ravel()
-
-
-def permute_provider(provider: BlockProvider, alpha: int, beta: int) -> BlockProvider:
-    """View with block row 1 <-> beta and block column 1 <-> alpha exchanged.
-
-    The (1,1) block of the view's inverse is block (alpha, beta) of the
-    base matrix's inverse. Applying the same permutation twice yields a
-    view equivalent to the base. alpha = beta = 1 is the identity view.
-    """
-    lay = provider.layout
-    if not (1 <= alpha <= lay.k and 1 <= beta <= lay.k):
-        raise IndexOutOfRangeError(f"target block ({alpha}, {beta}) outside 1..{lay.k}")
-    return BlockProvider(
-        provider.source, lay, provider._rmap[_swap(lay, beta)], provider._cmap[_swap(lay, alpha)]
-    )

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from bri import MemorySink, Workspace, invert_full, make_memory_provider
+from bri import (
+    Frame,
+    MemorySink,
+    Workspace,
+    invert_full,
+    make_memory_provider,
+    root_frame,
+    split_frame,
+)
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -20,6 +28,21 @@ def full_inverse(matrix: np.ndarray, k: int) -> np.ndarray:
     sink = MemorySink(provider.layout)
     invert_full(provider, sink)
     return sink.finalize()
+
+
+def dense(provider) -> np.ndarray:
+    """A provider's padded working matrix (order m + l), gathered block by block."""
+    idx = range(1, provider.layout.k + 1)
+    ws = Workspace()
+    return np.block([[provider.fetch_block(i, j, ws).data for j in idx] for i in idx])
+
+
+def replay(k: int, path) -> Frame:
+    """The frame a branch path names: its labels followed from the root (path[0])."""
+    frame = root_frame(k)
+    for label in path[1:]:
+        frame = split_frame(frame)["ABCD".index(label.name)]
+    return frame
 
 
 @pytest.fixture

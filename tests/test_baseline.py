@@ -1,20 +1,10 @@
-"""Dense LU baseline and provider materialization."""
+"""Dense LU baseline and its benchmark record."""
 
 import numpy as np
 import pytest
 from scipy.linalg import hilbert
 
-from bri import (
-    KernelSpec,
-    MATERIALIZE_LIMIT,
-    MaterializeLimitError,
-    SingularMatrixError,
-    bench_lu,
-    lu_invert_full,
-    make_kernel_provider,
-    make_memory_provider,
-    materialize,
-)
+from bri import SingularMatrixError, bench_lu, lu_invert_full
 from conftest import rng
 
 # exact rational inverse of the 4x4 Hilbert matrix (all entries integer)
@@ -63,21 +53,3 @@ class TestBenchLu:
         assert rec.peak_bytes == 3 * 8 * 16 * 16
         assert rec.n_block_inv == 1 and rec.n_block_mul == 0
         assert rec.wall_ms > 0
-
-
-class TestMaterialize:
-    def test_trims_by_default(self):
-        a = rng(71).standard_normal((5, 5))
-        prov = make_memory_provider(a, 3)
-        np.testing.assert_array_equal(materialize(prov), a)
-        full = materialize(prov, trim=False)
-        assert full.shape == (6, 6)
-        assert full[5, 5] == 1.0
-
-    def test_limit_guards_against_huge_orders(self):
-        spec = KernelSpec(inputs=np.zeros((MATERIALIZE_LIMIT, 1)), gamma=1.0, sigma=1.0)
-        prov = make_kernel_provider(spec, 2)  # order exceeds the cap by one
-        with pytest.raises(MaterializeLimitError):
-            materialize(prov)
-        small = materialize(prov, limit=MATERIALIZE_LIMIT + 2)
-        assert small.shape[0] == MATERIALIZE_LIMIT + 1

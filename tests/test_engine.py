@@ -9,9 +9,9 @@ from bri import (
     IndexOutOfRangeError,
     MemorySink,
     Quadrant,
+    SingularBlockError,
     SingularPivotError,
     Workspace,
-    frame_at,
     invert_block,
     invert_full,
     lu_invert_full,
@@ -21,7 +21,7 @@ from bri import (
     root_frame,
     split_frame,
 )
-from conftest import full_inverse, rng, shifted
+from conftest import full_inverse, replay, rng, shifted
 
 A, B, C, D = Quadrant.A, Quadrant.B, Quadrant.C, Quadrant.D
 
@@ -73,17 +73,6 @@ class TestFrames:
             Frame((1, 2), (1, 2, 3), A)
         with pytest.raises(FrameTooSmallError):
             Frame((1,), (1,), A)
-
-    def test_frame_at_replays_paths(self):
-        assert frame_at(4, (A,)) == root_frame(4)
-        assert frame_at(4, (A, B)) == split_frame(root_frame(4))[1]
-        assert frame_at(4, (A, B, C)) == split_frame(split_frame(root_frame(4))[1])[2]
-
-    def test_frame_at_requires_root_label(self):
-        with pytest.raises(FrameTooSmallError):
-            frame_at(4, (B,))
-        with pytest.raises(FrameTooSmallError):
-            frame_at(4, ())
 
 
 class TestReduceFrame:
@@ -191,12 +180,31 @@ class TestInvertBlock:
         assert err.pivot_block == (2, 2)
         # the reported branch replays to a frame whose anchor fetches the
         # zero block that caused the failure
-        frame = frame_at(3, err.path)
+        frame = replay(3, err.path)
         ar, ac = frame.anchor
         blk = prov.fetch_block(ar, ac, ws)
         assert not blk.data.any()
         blk.release()
         assert "A/D" in str(err)
+
+    @pytest.mark.parametrize("zeroed, target", [((1, 2), (1, 2)), ((2, 1), (2, 3))])
+    def test_pivot_block_names_the_input_block(self, ws, zeroed, target):
+        # every frame's anchor is the view's block (2, 2); the error names
+        # the input block the view moved there, and the path replays on
+        # the view to the zero block
+        a = shifted(6, 90)
+        i, j = zeroed
+        a[2 * i - 2 : 2 * i, 2 * j - 2 : 2 * j] = 0.0
+        prov = make_memory_provider(a, 3)
+        with pytest.raises(SingularPivotError) as exc:
+            invert_block(prov, *target, ws)
+        assert exc.value.pivot_block == zeroed
+        assert isinstance(exc.value.__cause__, SingularBlockError)
+        view, _ = prov.run_view(*target)
+        ar, ac = replay(3, exc.value.path).anchor
+        blk = view.fetch_block(ar, ac, ws)
+        assert not blk.data.any()
+        blk.release()
 
 
 class TestTraceHook:

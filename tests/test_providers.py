@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bri import (
     BadPartitionError,
     BlockLayout,
+    BlockProvider,
     BrimReader,
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -20,12 +21,10 @@ from bri import (
     make_file_provider,
     make_kernel_provider,
     make_memory_provider,
-    materialize,
-    permute_provider,
     write_matrix,
 )
-from bri.providers import _run_maps
-from conftest import rng, shifted
+from bri.providers import _run_maps, _swap
+from conftest import dense, rng, shifted
 
 
 class TestBlockLayout:
@@ -155,7 +154,7 @@ class TestKernelProvider:
     def test_matches_materialized_fetches(self):
         spec = KernelSpec(inputs=rng(32).standard_normal((5, 3)), gamma=1.5, sigma=0.8)
         prov = make_kernel_provider(spec, 2)
-        np.testing.assert_array_equal(materialize(prov), kernel_matrix(spec))
+        np.testing.assert_array_equal(dense(prov), kernel_matrix(spec))
 
     def test_spec_validation(self):
         with pytest.raises(BadPartitionError):
@@ -167,32 +166,32 @@ class TestKernelProvider:
 
 
 class TestPermutedProvider:
-    def test_unit_target_is_identity_view(self, ws):
+    def test_unit_target_is_identity_view(self):
         a = rng(40).standard_normal((6, 6))
-        base = make_memory_provider(a, 3)
-        view = permute_provider(base, 1, 1)
-        np.testing.assert_array_equal(materialize(view), a)
+        view, finish = make_memory_provider(a, 3).run_view(1, 1)
+        assert finish is None
+        np.testing.assert_array_equal(dense(view), a)
 
     def test_scalar_example(self):
         base = make_memory_provider(np.array([[4.0, 2.0], [1.0, 3.0]]), 2)
-        view = permute_provider(base, 2, 2)
-        np.testing.assert_array_equal(materialize(view), [[3.0, 1.0], [2.0, 4.0]])
+        view, _ = base.run_view(2, 2)
+        np.testing.assert_array_equal(dense(view), [[3.0, 1.0], [2.0, 4.0]])
 
     def test_swaps_row_beta_and_col_alpha(self):
         a = rng(41).standard_normal((6, 6))
-        base = make_memory_provider(a, 3)
-        swapped = materialize(permute_provider(base, 3, 2))
+        view, _ = make_memory_provider(a, 3).run_view(3, 2)
         rows = [2, 3, 0, 1, 4, 5]  # block rows 1 and beta=2 exchanged, b=2
         cols = [4, 5, 2, 3, 0, 1]  # block cols 1 and alpha=3 exchanged
-        np.testing.assert_array_equal(swapped, a[np.ix_(rows, cols)])
+        np.testing.assert_array_equal(dense(view), a[np.ix_(rows, cols)])
 
     def test_involution(self):
         a = rng(42).standard_normal((6, 6))
         base = make_memory_provider(a, 3)
         for alpha in range(1, 4):
             for beta in range(1, 4):
-                twice = permute_provider(permute_provider(base, alpha, beta), alpha, beta)
-                np.testing.assert_array_equal(materialize(twice), a)
+                once, _ = base.run_view(alpha, beta)
+                twice, _ = once.run_view(alpha, beta)
+                np.testing.assert_array_equal(dense(twice), a)
 
     def test_leading_window_of_view_inverse_is_target_block(self):
         # the invariant the whole permutation scheme rests on
@@ -201,15 +200,17 @@ class TestPermutedProvider:
         base = make_memory_provider(a, 3)
         for alpha in range(1, 4):
             for beta in range(1, 4):
-                view = materialize(permute_provider(base, alpha, beta))
-                win = np.linalg.inv(view)[:2, :2]
+                view, _ = base.run_view(alpha, beta)
+                win = np.linalg.inv(dense(view))[:2, :2]
                 target = inv[(alpha - 1) * 2 : alpha * 2, (beta - 1) * 2 : beta * 2]
                 np.testing.assert_allclose(win, target, atol=1e-12)
 
     def test_rejects_out_of_range_target(self):
         base = make_memory_provider(np.eye(4), 2)
         with pytest.raises(IndexOutOfRangeError):
-            permute_provider(base, 3, 1)
+            base.run_view(3, 1)
+        with pytest.raises(IndexOutOfRangeError):
+            base.run_view(1, 0)
 
 
 class TestAugmentedProvider:
@@ -217,7 +218,7 @@ class TestAugmentedProvider:
         a = rng(50).standard_normal((4, 4))
         prov = make_memory_provider(a, 2)
         assert prov.layout.l == 0
-        np.testing.assert_array_equal(materialize(prov, trim=False), a)
+        np.testing.assert_array_equal(dense(prov), a)
 
     def test_padded_corner_block(self, ws):
         a = rng(51).standard_normal((3, 3))
@@ -229,12 +230,11 @@ class TestAugmentedProvider:
     def test_materializes_identity_padding(self):
         a = rng(52).standard_normal((10, 10))
         prov = make_memory_provider(a, 4)
-        full = materialize(prov, trim=False)
+        full = dense(prov)
         assert full.shape == (12, 12)
         np.testing.assert_array_equal(full[:10, :10], a)
         np.testing.assert_array_equal(full[10:, 10:], np.eye(2))
         assert not full[:10, 10:].any() and not full[10:, :10].any()
-        np.testing.assert_array_equal(materialize(prov), a)
 
 
 class TestRunViewMaps:
@@ -277,7 +277,7 @@ class TestRunViewMaps:
         for alpha, beta in ((2, 3), (4, 1), (1, 4), (4, 4)):
             view, finish = prov.run_view(alpha, beta)
             rmap, cmap = _run_maps(prov.layout, alpha, beta)
-            dense_view = materialize(view, trim=False)
+            dense_view = dense(view)
             np.testing.assert_array_equal(dense_view, gamma[np.ix_(rmap, cmap)])
             # view rows index inverse columns, so the window transposes maps
             win = np.linalg.inv(dense_view)[:3, :3]
@@ -300,14 +300,17 @@ class TestRunViewMaps:
         prov = make_memory_provider(a, 4)
         view, finish = prov.run_view(2, 3)
         assert finish is None
-        np.testing.assert_array_equal(materialize(view, trim=False), materialize(permute_provider(prov, 2, 3), trim=False))
+        lay = prov.layout
+        np.testing.assert_array_equal(dense(view), a[np.ix_(_swap(lay, 3), _swap(lay, 2))])
 
     def test_padded_permuted_view_inverts_right_or_raises(self, ws):
         # A view that moved the padding has no identity corner for the
         # shifted window's finisher to restore; it keeps the plain exchange,
         # whose pivots may be singular but whose answers are never wrong.
-        view = permute_provider(make_memory_provider(shifted(10, 58), 4), 4, 4)
-        inv = np.linalg.inv(materialize(view, trim=False))
+        # Composing the shifted window onto it instead, with l = 3 > b = 2
+        # here, returns wrong blocks at targets (2,3), (3,2) and (3,3).
+        view, _ = make_memory_provider(shifted(5, 58), 4).run_view(4, 4)
+        inv = np.linalg.inv(dense(view))
         solved = 0
         for alpha in range(1, 5):
             for beta in range(1, 5):
@@ -315,7 +318,7 @@ class TestRunViewMaps:
                     blk = invert_block(view, alpha, beta, ws)
                 except (SingularBlockError, SingularPivotError):
                     continue
-                want = inv[(alpha - 1) * 3 : alpha * 3, (beta - 1) * 3 : beta * 3]
+                want = inv[(alpha - 1) * 2 : alpha * 2, (beta - 1) * 2 : beta * 2]
                 np.testing.assert_allclose(blk.data, want, atol=1e-9)
                 blk.release()
                 solved += 1
@@ -379,6 +382,9 @@ class TestRunViewMaps:
             order[0], order[t - 1] = order[t - 1], order[0]
             return [blk * lay.b + i for blk in order for i in range(lay.b)]
 
-        view = materialize(permute_provider(prov, alpha, beta), trim=False)
-        np.testing.assert_array_equal(view, gamma[np.ix_(swapped(beta), swapped(alpha))])
+        if lay.l == 0:
+            view, _ = prov.run_view(alpha, beta)
+        else:  # run_view shifts padded targets; build the plain exchange directly
+            view = BlockProvider(prov.source, lay, _swap(lay, beta), _swap(lay, alpha))
+        np.testing.assert_array_equal(dense(view), gamma[np.ix_(swapped(beta), swapped(alpha))])
 
