@@ -17,13 +17,13 @@ place all the way down, so every leaf (n = 2) eliminates its D quadrant,
 and an internal node with label x eliminates the mirror of x (A <-> D,
 B <-> C) on the 2x2 of its reduced children.
 
-Buffer discipline: a node evaluates the pivot child first, folds the other
-children in one at a time (T = pivot_inv @ rt, then U = l @ T, then
-r - U in place), and releases every intermediate as soon as it is
-consumed. Each node on the active recursion path therefore holds at most
-one finished block plus at most three transients at the fold point, which
-keeps the peak number of live buffers during one block run at k + 1,
-well under the asserted 2k + 4 envelope. There is no memoization across
+Buffer discipline: a node evaluates the pivot child first and inverts it
+in place, folds the other children in one at a time (T = pivot_inv @ rt,
+then U = l @ T, then r - U in place), and releases every intermediate as
+soon as it is consumed. Each node on the active recursion path therefore
+holds at most one finished block plus at most three transients at the
+fold point, which keeps the peak number of live buffers during one block
+run at k + 1, well under the asserted 2k + 4 envelope. There is no memoization across
 branches: subtrees refetch blocks from the provider by design.
 
 A full inverse is k*k such runs, one after another on the calling thread,
@@ -148,14 +148,12 @@ def _fold(get: Callable[[Quadrant], Block], q: Quadrant, ws: Workspace) -> Block
 
     ``get(quadrant)`` yields the operand at that quadrant when the fold
     needs it. Exactly 1 inversion + 2 multiplications + 1 subtraction;
-    every operand and intermediate is released here (the result reuses
-    r's buffer).
+    every operand and intermediate is released here. The pivot's inverse
+    reuses the pivot's buffer and the result reuses r's.
     """
     pivot_q, rt_q, l_q, r_q = _PLAN[q]
     ws.counters.schur_nodes += 1
-    p = get(pivot_q)
-    inv = invert_dense(p)
-    p.release()
+    inv = invert_dense(get(pivot_q))
     rt = get(rt_q)
     t = multiply(inv, rt)
     inv.release()
@@ -248,7 +246,6 @@ def invert_block(
         anchor = (view._rmap[(r - 1) * b] // b + 1, view._cmap[(c - 1) * b] // b + 1)
         raise SingularPivotError(e.path, anchor) from e.__cause__
     win = invert_dense(red)
-    red.release()
     if finish is None:
         return win
     data = finish(win.data)

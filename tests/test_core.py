@@ -170,12 +170,23 @@ class TestInvertDense:
         assert ws.counters.block_inversions == 1
         out.release()
 
-    def test_peak_is_two_blocks(self, ws):
-        x = ws.from_array(rng(3).standard_normal((8, 8)) + 8 * np.eye(8))
+    def test_inverts_in_place(self, ws):
+        a = rng(3).standard_normal((8, 8)) + 8 * np.eye(8)
+        x = ws.from_array(a)
         out = invert_dense(x)
+        assert out is x
+        np.testing.assert_allclose(a @ out.data, np.eye(8), rtol=0, atol=1e-12)
         out.release()
-        x.release()
-        assert ws.gauge.peak_blocks <= 2
+        assert ws.gauge.peak_blocks == 1
+        assert ws.counters.block_inversions == 1
+
+    @pytest.mark.parametrize("order", [128, 129, 200])
+    def test_both_getri_panel_widths_match_reference(self, ws, order):
+        # 3-column panels up to order 128, LAPACK's 64-column ones above.
+        a = rng(order).standard_normal((order, order)) + order * np.eye(order)
+        out = invert_dense(ws.from_array(a))
+        np.testing.assert_allclose(out.data, np.linalg.inv(a), rtol=0, atol=1e-13)
+        out.release()
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), order=st.integers(1, 12))

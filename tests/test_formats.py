@@ -5,9 +5,12 @@ import os
 import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bri import (
     BenchRecord,
@@ -25,6 +28,7 @@ from bri import (
     write_bench_csv,
     write_matrix,
 )
+from bri import formats
 from bri.formats import HEADER_BYTES
 from conftest import rng
 
@@ -127,7 +131,18 @@ class TestBrimReader:
             # Cut the file inside row 4, after the reader validated its size.
             os.truncate(path, HEADER_BYTES + (4 * 6 + 2) * 8)
             np.testing.assert_array_equal(reader.read_rect(0, 4, 0, 6), a[0:4])
-            with pytest.raises(FormatError, match="short read"):
+            # Rows 3..5 are one grouped read, named by its first byte.
+            with pytest.raises(FormatError, match=f"short read at byte {HEADER_BYTES + 3 * 6 * 8}:"):
+                reader.read_rect(3, 6, 0, 6)
+
+    def test_truncated_file_per_row_names_the_short_row(self, tmp_path):
+        a = rng(4).standard_normal((6, 6))
+        path = tmp_path / "a.brim"
+        write_matrix(path, a)
+        with BrimReader(path) as reader, mock.patch.object(formats, "_GAP_LIMIT", -1):
+            os.truncate(path, HEADER_BYTES + (4 * 6 + 2) * 8)
+            np.testing.assert_array_equal(reader.read_rect(0, 4, 1, 5), a[0:4, 1:5])
+            with pytest.raises(FormatError, match=f"short read at byte {HEADER_BYTES + 4 * 6 * 8}:"):
                 reader.read_rect(3, 6, 0, 6)
 
     def test_concurrent_reads_match_dense_slices(self, tmp_path):
@@ -159,6 +174,66 @@ class TestBrimReader:
         finally:
             sys.setswitchinterval(interval)
         assert results == [[], [], [], []]
+
+
+# Orders of the files the rectangle property reads: 600 > 512 rows, so a
+# full-height rectangle splits at the IOV_MAX group limit.
+_RECT_ORDERS = (1, 7, 40, 600)
+
+
+@pytest.fixture(scope="module")
+def rect_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("rects")
+    files = {}
+    for m in _RECT_ORDERS:
+        a = rng(m).standard_normal((m, m))
+        write_matrix(root / f"{m}.brim", a)
+        files[m] = (root / f"{m}.brim", a)
+    return files
+
+
+@st.composite
+def rectangles(draw):
+    m = draw(st.sampled_from(_RECT_ORDERS))
+    r0, r1 = sorted(draw(st.lists(st.integers(0, m), min_size=2, max_size=2)))
+    full_width = draw(st.booleans())  # cols == m: no gap between row segments
+    c0, c1 = (0, m) if full_width else sorted(draw(st.lists(st.integers(0, m), min_size=2, max_size=2)))
+    return m, r0, r1, c0, c1
+
+
+class TestReadRectGroups:
+    @settings(max_examples=60, deadline=None)
+    @given(rect=rectangles(), per_row=st.booleans())
+    @example(rect=(600, 0, 600, 0, 600), per_row=False)
+    @example(rect=(600, 10, 580, 100, 350), per_row=False)
+    @example(rect=(600, 0, 600, 0, 600), per_row=True)
+    def test_read_rect_equals_dense_slice(self, rect_files, rect, per_row):
+        m, r0, r1, c0, c1 = rect
+        path, a = rect_files[m]
+        # A negative limit sends every gap, even 0, down the one-read-per-row side.
+        limit = -1 if per_row else formats._GAP_LIMIT
+        with BrimReader(path) as reader, mock.patch.object(formats, "_GAP_LIMIT", limit):
+            np.testing.assert_array_equal(reader.read_rect(r0, r1, c0, c1), a[r0:r1, c0:c1])
+
+    @pytest.mark.parametrize(
+        "limit, cols, reads",
+        [
+            (None, 600, 2),  # gap 0: 600 rows split into groups of 512 and 88
+            (None, 100, 2),  # gap 4000 bytes, still read through
+            (-1, 600, 600),  # one read per row
+        ],
+    )
+    def test_read_count(self, rect_files, limit, cols, reads):
+        path, a = rect_files[600]
+        limit = formats._GAP_LIMIT if limit is None else limit
+        with (
+            BrimReader(path) as reader,
+            mock.patch.object(formats, "_GAP_LIMIT", limit),
+            mock.patch.object(formats, "_GROUP_ROWS", 512),
+            mock.patch.object(os, "preadv", wraps=os.preadv) as spy,
+        ):
+            np.testing.assert_array_equal(reader.read_rect(0, 600, 0, cols), a[:, :cols])
+        assert spy.call_count == reads
 
 
 class TestBrimSink:
