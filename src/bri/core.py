@@ -50,9 +50,9 @@ _EPS = float(np.finfo(np.float64).eps)
 class Workspace:
     """Allocation context: one op-counter tally plus one memory gauge.
 
-    Create one per inversion run; merge counters afterwards if several
-    runs need a combined tally. Every block belongs to exactly one
-    workspace.
+    Runs that share a workspace add to one tally, and its gauge peak is
+    the largest live count any of them reached. Every block belongs to
+    exactly one workspace.
     """
 
     __slots__ = ("counters", "gauge")

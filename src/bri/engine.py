@@ -15,7 +15,9 @@ Splitting a frame of n block rows produces four children of n-1:
 The exchange keeps the anchor block — position (2, 2) of every frame — in
 place all the way down, so every leaf (n = 2) eliminates its D quadrant,
 and an internal node with label x eliminates the mirror of x (A <-> D,
-B <-> C) on the 2x2 of its reduced children.
+B <-> C) on the 2x2 of its reduced children. A quadrant's value is
+2*row + col, so its mirror is q ^ 3 and the two beside it are q ^ 1 and
+q ^ 2.
 
 Buffer discipline: a node evaluates the pivot child first and inverts it
 in place, folds the other children in one at a time (T = pivot_inv @ rt,
@@ -26,8 +28,8 @@ fold point, which keeps the peak number of live buffers during one block
 run at k + 1, well under the asserted 2k + 4 envelope. There is no memoization across
 branches: subtrees refetch blocks from the provider by design.
 
-A full inverse is k*k such runs, one after another on the calling thread,
-so its peak is that of its largest run: time is traded for memory, one
+A full inverse is k*k such runs, one after another on one workspace, so
+its peak is that of its largest run: time is traded for memory, one
 block at a time.
 """
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from typing import Callable
 
 import numpy as np
@@ -62,25 +64,18 @@ __all__ = [
 ]
 
 
-class Quadrant(Enum):
-    """Position of a frame within its parent's 2x2 arrangement."""
+class Quadrant(IntEnum):
+    """Position of a frame within its parent's 2x2 arrangement: 2*row + col."""
 
-    A = "A"
-    B = "B"
-    C = "C"
-    D = "D"
+    A = 0
+    B = 1
+    C = 2
+    D = 3
 
     @property
     def mirror(self) -> "Quadrant":
-        return _MIRROR[self]
+        return Quadrant(self ^ 3)
 
-
-_MIRROR = {
-    Quadrant.A: Quadrant.D,
-    Quadrant.D: Quadrant.A,
-    Quadrant.B: Quadrant.C,
-    Quadrant.C: Quadrant.B,
-}
 
 BranchPath = tuple[Quadrant, ...]
 
@@ -132,37 +127,28 @@ def split_frame(frame: Frame) -> tuple[Frame, Frame, Frame, Frame]:
     )
 
 
-# For pivot quadrant q the reduction is  result = r - l @ (inv(pivot) @ rt)
-# where the roles are fixed by position: result sits opposite the pivot,
-# l shares the result's row and the pivot's column, rt the reverse.
-_PLAN: dict[Quadrant, tuple[Quadrant, Quadrant, Quadrant, Quadrant]] = {
-    Quadrant.D: (Quadrant.D, Quadrant.C, Quadrant.B, Quadrant.A),
-    Quadrant.C: (Quadrant.C, Quadrant.D, Quadrant.A, Quadrant.B),
-    Quadrant.B: (Quadrant.B, Quadrant.A, Quadrant.D, Quadrant.C),
-    Quadrant.A: (Quadrant.A, Quadrant.B, Quadrant.C, Quadrant.D),
-}
-
-
-def _fold(get: Callable[[Quadrant], Block], q: Quadrant, ws: Workspace) -> Block:
+def _fold(get: Callable[[int], Block], q: Quadrant, ws: Workspace) -> Block:
     """One Schur reduction, evaluating operands lazily in release order.
 
-    ``get(quadrant)`` yields the operand at that quadrant when the fold
-    needs it. Exactly 1 inversion + 2 multiplications + 1 subtraction;
-    every operand and intermediate is released here. The pivot's inverse
-    reuses the pivot's buffer and the result reuses r's.
+    For pivot quadrant q the reduction is  r - l @ (inv(pivot) @ rt):
+    rt shares the pivot's row (q ^ 1), l its column (q ^ 2), and r sits
+    opposite it (q ^ 3). ``get(quadrant)`` yields the operand at that
+    quadrant when the fold needs it. Exactly 1 inversion + 2
+    multiplications + 1 subtraction; every operand and intermediate is
+    released here. The pivot's inverse reuses the pivot's buffer and the
+    result reuses r's.
     """
-    pivot_q, rt_q, l_q, r_q = _PLAN[q]
     ws.counters.schur_nodes += 1
-    inv = invert_dense(get(pivot_q))
-    rt = get(rt_q)
+    inv = invert_dense(get(q))
+    rt = get(q ^ 1)
     t = multiply(inv, rt)
     inv.release()
     rt.release()
-    l = get(l_q)
+    l = get(q ^ 2)
     u = multiply(l, t)
     l.release()
     t.release()
-    r = get(r_q)
+    r = get(q ^ 3)
     out = subtract(r, u)
     u.release()
     return out
@@ -180,37 +166,32 @@ def reduce_frame(
     A leaf (n = 2) fetches its four blocks and eliminates quadrant D; an
     internal node reduces its four children and eliminates the mirror of
     its own label. A singular pivot at any node raises SingularPivotError
-    carrying the branch path from the root.
+    carrying the branch path from the root and, as pivot block,
+    ``provider.input_block`` of the frame's anchor.
 
     ``trace``, when given, is called as trace(path, frame, value) with a
     copy of every node's reduced value, leaves included.
     """
     path: BranchPath = (frame.label,) if _path is None else _path
     if frame.n == 2:
-        (r1, r2), (c1, c2) = frame.rows, frame.cols
-        spots = {
-            Quadrant.A: (r1, c1),
-            Quadrant.B: (r1, c2),
-            Quadrant.C: (r2, c1),
-            Quadrant.D: (r2, c2),
-        }
+        rows, cols = frame.rows, frame.cols
 
-        def get(key: Quadrant) -> Block:
-            row, col = spots[key]
-            return provider.fetch_block(row, col, ws)
+        def get(key: int) -> Block:
+            return provider.fetch_block(rows[key >> 1], cols[key & 1], ws)
 
         q = Quadrant.D
     else:
-        children = {child.label: child for child in split_frame(frame)}
+        children = split_frame(frame)
 
-        def get(key: Quadrant) -> Block:
-            return reduce_frame(provider, children[key], ws, trace, path + (key,))
+        def get(key: int) -> Block:
+            child = children[key]
+            return reduce_frame(provider, child, ws, trace, path + (child.label,))
 
         q = frame.label.mirror
     try:
         out = _fold(get, q, ws)
     except SingularBlockError as e:
-        raise SingularPivotError(path, frame.anchor) from e
+        raise SingularPivotError(path, provider.input_block(*frame.anchor)) from e
     if trace is not None:
         trace(path, frame, out.data.copy())
     return out
@@ -230,21 +211,13 @@ def invert_block(
     position; padded off-diagonal targets get an element-shifted window),
     inverts the root reduction, and applies the view's finishing map if
     any. A singular final reduction raises SingularBlockError; singular
-    interior pivots raise SingularPivotError with their branch path and
-    the block of the provided matrix at the failing frame's anchor.
+    interior pivots raise SingularPivotError (see reduce_frame).
     """
     lay = provider.layout
     if ws is None:
         ws = Workspace()
     view, finish = provider.run_view(alpha, beta)
-    try:
-        red = reduce_frame(view, root_frame(lay.k), ws, trace)
-    except SingularPivotError as e:
-        # Name the anchor by the provided matrix's block holding its first row and column.
-        r, c = e.pivot_block
-        b = lay.b
-        anchor = (view._rmap[(r - 1) * b] // b + 1, view._cmap[(c - 1) * b] // b + 1)
-        raise SingularPivotError(e.path, anchor) from e.__cause__
+    red = reduce_frame(view, root_frame(lay.k), ws, trace)
     win = invert_dense(red)
     if finish is None:
         return win
@@ -255,12 +228,8 @@ def invert_block(
 
 @dataclass
 class InversionSummary:
-    """Merged accounting for one full-inverse computation."""
+    """Accounting for one full-inverse computation."""
 
-    m: int
-    k: int
-    b: int
-    l: int
     wall_ms: float
     counters: OpCounters
     peak_blocks: int  # the largest single-run peak of live block buffers
@@ -271,31 +240,23 @@ def invert_full(provider: BlockProvider, sink) -> InversionSummary:
     """All k*k inverse blocks, streamed to ``sink.put(alpha, beta, data)``.
 
     Runs row-major over (alpha, beta), one block run at a time on the
-    calling thread, and never holds more than one output block. Every run
-    gets its own workspace; the summary reports the merged counters and,
-    as peak, the largest run's high-water mark.
+    calling thread, and never holds more than one output block. All runs
+    share one workspace: each releases every block before the next
+    starts, so its tally is the sum over runs and its peak is the largest
+    run's high-water mark.
     """
     lay = provider.layout
     t0 = time.perf_counter()
-    merged = OpCounters()
-    peak = 0
+    ws = Workspace()
     for alpha in range(1, lay.k + 1):
         for beta in range(1, lay.k + 1):
-            ws = Workspace()
             blk = invert_block(provider, alpha, beta, ws)
             sink.put(alpha, beta, blk.data)
             blk.release()
-            merged.merge(ws.counters)
-            peak = max(peak, ws.gauge.peak_blocks)
-
-    wall_ms = (time.perf_counter() - t0) * 1e3
+    peak = ws.gauge.peak_blocks
     return InversionSummary(
-        m=lay.m,
-        k=lay.k,
-        b=lay.b,
-        l=lay.l,
-        wall_ms=wall_ms,
-        counters=merged,
+        wall_ms=(time.perf_counter() - t0) * 1e3,
+        counters=ws.counters,
         peak_blocks=peak,
         peak_bytes=peak * 8 * lay.b * lay.b,
     )

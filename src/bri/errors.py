@@ -63,10 +63,9 @@ class SingularPivotError(BriError):
     ``path`` is the tuple of quadrant labels from the root frame to the
     failing node. It replays on the run's view: follow the labels through
     split_frame from root_frame(k) on provider.run_view(alpha, beta).
-    ``pivot_block`` is the failing frame's anchor as a 1-based (row, col)
-    block of the matrix the provider reads: on an unpadded layout, the
-    block the view moved there; on a padded one, the block of the padded
-    working matrix holding the anchor's first row and first column.
+    ``pivot_block`` is the 1-based (row, col) block of the padded input
+    matrix that holds the first row and first column of the failing
+    frame's anchor. Without padding that is the block the view moved there.
     """
 
     exit_code = 2

@@ -16,9 +16,10 @@ integer equality against measured counters.
 
 The memory gauge counts *live engine-managed block buffers* (b*b float64
 each), not heap bytes: provider-internal file buffers and BLAS scratch are
-outside it. Each workspace holds one tally and one gauge for one run;
-a full inversion merges the tallies of its runs and reports the largest
-run peak. Nothing in this module is global state.
+outside it. Each workspace holds one tally and one gauge. A full
+inversion runs every block on one workspace; each run releases all its
+blocks before the next starts, so the tally is the sum over runs and the
+peak is the largest run's. Nothing in this module is global state.
 """
 
 from __future__ import annotations
@@ -37,20 +38,12 @@ __all__ = [
 
 @dataclass
 class OpCounters:
-    """Tally of block operations for one run (or several merged runs)."""
+    """Tally of block operations for one or more runs."""
 
     block_inversions: int = 0
     block_multiplications: int = 0
     block_subtractions: int = 0
     schur_nodes: int = 0
-
-    def merge(self, other: "OpCounters") -> "OpCounters":
-        """Accumulate another tally into this one and return self."""
-        self.block_inversions += other.block_inversions
-        self.block_multiplications += other.block_multiplications
-        self.block_subtractions += other.block_subtractions
-        self.schur_nodes += other.schur_nodes
-        return self
 
 
 class MemoryGauge:

@@ -289,6 +289,11 @@ class BlockProvider:
                 out[r - r0, c - c0] = 1.0
         return Block(out, ws)
 
+    def input_block(self, i: int, j: int) -> tuple[int, int]:
+        """Block of the padded input holding the first row and column of block (i, j)."""
+        b = self.layout.b
+        return (int(self._rmap[(i - 1) * b]) // b + 1, int(self._cmap[(j - 1) * b]) // b + 1)
+
     def run_view(self, alpha: int, beta: int):
         """View to reduce for target block (alpha, beta), plus a finisher.
 

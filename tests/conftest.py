@@ -41,7 +41,7 @@ def replay(k: int, path) -> Frame:
     """The frame a branch path names: its labels followed from the root (path[0])."""
     frame = root_frame(k)
     for label in path[1:]:
-        frame = split_frame(frame)["ABCD".index(label.name)]
+        frame = split_frame(frame)[label]
     return frame
 
 

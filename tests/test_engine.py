@@ -21,6 +21,7 @@ from bri import (
     root_frame,
     split_frame,
 )
+from bri.engine import _fold
 from conftest import full_inverse, replay, rng, shifted
 
 A, B, C, D = Quadrant.A, Quadrant.B, Quadrant.C, Quadrant.D
@@ -34,6 +35,43 @@ class TestQuadrant:
     def test_mirror_is_involution(self):
         for q in Quadrant:
             assert q.mirror.mirror is q
+
+
+class TestFoldOrder:
+    # pivot, rt, l, r for each pivot quadrant: r - l @ (inv(pivot) @ rt)
+    PLAN = {
+        D: (D, C, B, A),
+        C: (C, D, A, B),
+        B: (B, A, D, C),
+        A: (A, B, C, D),
+    }
+
+    @pytest.mark.parametrize("q", list(Quadrant))
+    def test_fold_fetches_operands_in_plan_order(self, ws, q):
+        asked = []
+
+        def get(key):
+            asked.append(key)
+            return ws.from_array(np.eye(2) * (2.0 + key))
+
+        _fold(get, q, ws).release()
+        assert asked == list(self.PLAN[q])
+        assert ws.gauge.live_blocks == 0
+
+    def test_leaf_fetches_rows_by_high_bit_and_cols_by_low_bit(self, ws):
+        prov = make_memory_provider(shifted(8, 91), 4)
+        fetched = []
+        fetch = prov.fetch_block
+
+        def spy(i, j, w):
+            fetched.append((i, j))
+            return fetch(i, j, w)
+
+        prov.fetch_block = spy
+        frame = Frame((3, 2), (4, 1), C)
+        reduce_frame(prov, frame, ws).release()
+        want = [(frame.rows[q >> 1], frame.cols[q & 1]) for q in self.PLAN[D]]
+        assert fetched == want == [(2, 1), (2, 4), (3, 1), (3, 4)]
 
 
 class TestFrames:
@@ -187,21 +225,31 @@ class TestInvertBlock:
         blk.release()
         assert "A/D" in str(err)
 
-    @pytest.mark.parametrize("zeroed, target", [((1, 2), (1, 2)), ((2, 1), (2, 3))])
-    def test_pivot_block_names_the_input_block(self, ws, zeroed, target):
+    @pytest.mark.parametrize(
+        "zeroed, target, m, k, path",
+        [
+            pytest.param((1, 2), (1, 2), 6, 3, None, id="zeroed0-target0"),
+            pytest.param((2, 1), (2, 3), 6, 3, None, id="zeroed1-target1"),
+            # padded (l = 2): the shifted window still names input block (2, 2)
+            pytest.param((2, 2), (4, 1), 10, 4, (A, D, A), id="padded"),
+        ],
+    )
+    def test_pivot_block_names_the_input_block(self, ws, zeroed, target, m, k, path):
         # every frame's anchor is the view's block (2, 2); the error names
-        # the input block the view moved there, and the path replays on
-        # the view to the zero block
-        a = shifted(6, 90)
+        # the input block holding its first row and column, and the path
+        # replays on the view to the zero block
+        a = shifted(m, 90)
+        b = -(-m // k)
         i, j = zeroed
-        a[2 * i - 2 : 2 * i, 2 * j - 2 : 2 * j] = 0.0
-        prov = make_memory_provider(a, 3)
+        a[b * i - b : b * i, b * j - b : b * j] = 0.0
+        prov = make_memory_provider(a, k)
         with pytest.raises(SingularPivotError) as exc:
             invert_block(prov, *target, ws)
         assert exc.value.pivot_block == zeroed
+        assert path is None or exc.value.path == path
         assert isinstance(exc.value.__cause__, SingularBlockError)
         view, _ = prov.run_view(*target)
-        ar, ac = replay(3, exc.value.path).anchor
+        ar, ac = replay(k, exc.value.path).anchor
         blk = view.fetch_block(ar, ac, ws)
         assert not blk.data.any()
         blk.release()
@@ -277,7 +325,6 @@ class TestInvertFull:
         want = predicted_counts(4)
         assert summary.counters.schur_nodes == 16 * want.schur_nodes
         assert summary.counters.block_inversions == 16 * want.block_inversions
-        assert (summary.m, summary.k, summary.b, summary.l) == (8, 4, 2, 0)
         assert summary.peak_blocks <= 2 * 4 + 4
         assert summary.peak_bytes == summary.peak_blocks * 8 * 2 * 2
         assert summary.wall_ms > 0

@@ -18,12 +18,6 @@ class TestOpCounters:
         c = OpCounters()
         assert (c.block_inversions, c.block_multiplications, c.block_subtractions, c.schur_nodes) == (0, 0, 0, 0)
 
-    def test_merge_adds_fieldwise(self):
-        a = OpCounters(1, 2, 3, 4)
-        b = OpCounters(10, 20, 30, 40)
-        m = a.merge(b)
-        assert (m.block_inversions, m.block_multiplications, m.block_subtractions, m.schur_nodes) == (11, 22, 33, 44)
-
 
 class TestPredictedCounts:
     # geometric node total (4^(k-1) - 1) / 3, one extra inversion at the root
