@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 from statistics import median
 
@@ -185,6 +186,7 @@ def cmd_invert(args) -> int:
         "l": lay.l,
         "wall_ms": summary.wall_ms,
         "peak_blocks": summary.peak_blocks,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "peak_bytes": summary.peak_bytes,
         "block_inversions": c.block_inversions,
         "block_multiplications": c.block_multiplications,
@@ -223,6 +225,7 @@ def cmd_invert_block(args) -> int:
         "col": args.col,
         "b": lay.b,
         "peak_blocks": ws.gauge.peak_blocks,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "bound": bound,
         "block": data.tolist(),
     }

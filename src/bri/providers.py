@@ -369,7 +369,7 @@ def make_memory_provider(matrix, k: int) -> BlockProvider:
 
 
 def make_file_provider(path, k: int) -> BlockProvider:
-    """Provider over a BRIM file; each fetch reads at most b row segments.
+    """Provider over a BRIM file; each fetch copies at most b row segments.
 
     The file stays open until the provider is closed (``with provider:``).
     """

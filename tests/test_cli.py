@@ -137,6 +137,7 @@ class TestInvert:
         assert info["block_inversions"] == 16 * 22
         assert info["block_multiplications"] == 16 * 42
         assert info["peak_blocks"] <= 12
+        assert info["peak_rss_mb"] > 0
 
     def test_jobs_flag_is_usage_error(self, capsys, tmp_path):
         # block runs are sequential; there is no --jobs flag
@@ -164,6 +165,7 @@ class TestInvertBlock:
         info = json.loads(out)
         assert code == 0
         assert info["block"] == [[pytest.approx(-0.1, abs=1e-15)]]
+        assert info["peak_rss_mb"] > 0
 
     def test_out_of_range_target(self, capsys, tmp_path):
         src = tmp_path / "m.brim"

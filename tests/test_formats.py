@@ -1,6 +1,7 @@
 """BRIM files, block sinks, and the benchmark CSV schema."""
 
 import csv
+import mmap
 import os
 import struct
 import sys
@@ -131,8 +132,8 @@ class TestBrimReader:
             # Cut the file inside row 4, after the reader validated its size.
             os.truncate(path, HEADER_BYTES + (4 * 6 + 2) * 8)
             np.testing.assert_array_equal(reader.read_rect(0, 4, 0, 6), a[0:4])
-            # Rows 3..5 are one grouped read, named by its first byte.
-            with pytest.raises(FormatError, match=f"short read at byte {HEADER_BYTES + 3 * 6 * 8}:"):
+            # Rows 3..5 would be one mapping; the error names row 4, the first past the end.
+            with pytest.raises(FormatError, match=f"short read at byte {HEADER_BYTES + 4 * 6 * 8}:"):
                 reader.read_rect(3, 6, 0, 6)
 
     def test_truncated_file_per_row_names_the_short_row(self, tmp_path):
@@ -176,8 +177,8 @@ class TestBrimReader:
         assert results == [[], [], [], []]
 
 
-# Orders of the files the rectangle property reads: 600 > 512 rows, so a
-# full-height rectangle splits at the IOV_MAX group limit.
+# Orders of the files the rectangle property reads: at 600 a 100-column
+# rectangle leaves a 4000-byte gap, still under the mapping limit.
 _RECT_ORDERS = (1, 7, 40, 600)
 
 
@@ -216,24 +217,42 @@ class TestReadRectGroups:
             np.testing.assert_array_equal(reader.read_rect(r0, r1, c0, c1), a[r0:r1, c0:c1])
 
     @pytest.mark.parametrize(
-        "limit, cols, reads",
+        "limit, cols, maps, reads",
         [
-            (None, 600, 2),  # gap 0: 600 rows split into groups of 512 and 88
-            (None, 100, 2),  # gap 4000 bytes, still read through
-            (-1, 600, 600),  # one read per row
+            (None, 600, 1, 0),  # gap 0: one mapping of all 600 rows
+            (None, 100, 1, 0),  # gap 4000 bytes, still mapped through
+            (-1, 600, 0, 600),  # one read per row
         ],
     )
-    def test_read_count(self, rect_files, limit, cols, reads):
+    def test_read_count(self, rect_files, limit, cols, maps, reads):
         path, a = rect_files[600]
         limit = formats._GAP_LIMIT if limit is None else limit
         with (
             BrimReader(path) as reader,
             mock.patch.object(formats, "_GAP_LIMIT", limit),
-            mock.patch.object(formats, "_GROUP_ROWS", 512),
-            mock.patch.object(os, "preadv", wraps=os.preadv) as spy,
+            mock.patch.object(mmap, "mmap", wraps=mmap.mmap) as map_spy,
+            mock.patch.object(os, "preadv", wraps=os.preadv) as read_spy,
         ):
             np.testing.assert_array_equal(reader.read_rect(0, 600, 0, cols), a[:, :cols])
-        assert spy.call_count == reads
+        assert (map_spy.call_count, read_spy.call_count) == (maps, reads)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+    def test_no_mapping_outlives_a_read(self, tmp_path):
+        a = rng(8).standard_normal((6, 6))
+        path = tmp_path / "a.brim"
+        write_matrix(path, a)
+
+        def mapped() -> bool:
+            with open("/proc/self/maps") as fh:
+                return any(line.rstrip().endswith(str(path)) for line in fh)
+
+        with BrimReader(path) as reader:
+            np.testing.assert_array_equal(reader.read_rect(1, 5, 0, 6), a[1:5])
+            assert not mapped()
+            os.truncate(path, HEADER_BYTES + (4 * 6 + 2) * 8)
+            with pytest.raises(FormatError, match="short read"):
+                reader.read_rect(3, 6, 0, 6)
+            assert not mapped()
 
 
 class TestBrimSink:
