@@ -8,7 +8,7 @@ block buffers alive. A dense LU baseline, operation counters, a memory
 gauge, and a benchmark harness round out the package.
 """
 
-from .baseline import MATERIALIZE_LIMIT, bench_lu, lu_invert_full
+from .baseline import MATERIALIZE_LIMIT, lu_invert_full
 from .core import Block, Workspace, invert_dense, multiply, subtract
 from .engine import (
     BranchPath,
@@ -37,17 +37,15 @@ from .errors import (
     UsageError,
 )
 from .formats import (
-    CSV_COLUMNS,
     BrimHeader,
     BrimReader,
     BrimSink,
     MemorySink,
     read_header,
     read_matrix,
-    write_bench_csv,
     write_matrix,
 )
-from .instrumentation import BenchRecord, MemoryGauge, OpCounters, predicted_counts
+from .instrumentation import MemoryGauge, OpCounters, predicted_counts
 from .providers import (
     BlockLayout,
     BlockProvider,

@@ -14,22 +14,26 @@ files on any platform.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import resource
 import sys
+import time
 from statistics import median
 
 import numpy as np
 
-from .baseline import MATERIALIZE_LIMIT, bench_lu, lu_invert_full
+from .baseline import MATERIALIZE_LIMIT, lu_invert_full
 from .core import Workspace
 from .engine import invert_block, invert_full
 from .errors import BriError, MaterializeLimitError, UsageError
-from .formats import BrimSink, MemorySink, read_header, read_matrix, write_bench_csv, write_matrix
-from .instrumentation import BenchRecord
+from .formats import BrimSink, MemorySink, read_header, read_matrix, write_matrix
 from .providers import KernelSpec, kernel_matrix, make_file_provider, make_memory_provider
 
 __all__ = ["main"]
+
+# One `bri bench` CSV row per run, in this column order.
+_BENCH_COLUMNS = ("method", "m", "k", "wall_ms", "peak_bytes", "n_block_inv", "n_block_mul", "seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,7 +78,6 @@ def _build_parser() -> _Parser:
     inv.add_argument("--out", required=True, help="output BRIM file")
     inv.add_argument("--k", type=int, help="block partition (required for bri)")
     inv.add_argument("--method", choices=("bri", "lu"), default="bri")
-    inv.add_argument("--seed", type=int, default=42, help="provenance tag for summaries")
     inv.set_defaults(func=cmd_invert)
 
     single = sub.add_parser("invert-block", parents=[common], help="one block of the inverse")
@@ -148,25 +151,33 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _lu(matrix: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Dense LU inverse, wall ms, and peak bytes: the input plus the working copy."""
+    t0 = time.perf_counter()
+    inverse = lu_invert_full(matrix)
+    return inverse, (time.perf_counter() - t0) * 1e3, 2 * matrix.nbytes
+
+
 def cmd_invert(args) -> int:
     if args.method == "lu":
         matrix = read_matrix(args.input)
-        inverse, record = bench_lu(matrix, args.seed)
+        inverse, wall_ms, peak_bytes = _lu(matrix)
         write_matrix(args.out, inverse)
+        m = matrix.shape[0]
         info = {
             "command": "invert",
             "method": "lu",
-            "m": record.m,
-            "wall_ms": record.wall_ms,
-            "peak_bytes": record.peak_bytes,
+            "m": m,
+            "wall_ms": wall_ms,
+            "peak_bytes": peak_bytes,
             "out": args.out,
         }
         _emit(
             args,
             info,
             [
-                f"inverted order {record.m} by dense LU in {record.wall_ms:.3f} ms",
-                f"peak {record.peak_bytes} bytes; wrote {args.out}",
+                f"inverted order {m} by dense LU in {wall_ms:.3f} ms",
+                f"peak {peak_bytes} bytes; wrote {args.out}",
             ],
         )
         return 0
@@ -293,41 +304,36 @@ def cmd_bench(args) -> int:
     if args.m < 2:
         raise UsageError(f"bench needs --m >= 2, got {args.m}")
     matrix = _generate(args.kind, args.m, args.seed, args.sigma, args.gamma)
-    records: list[BenchRecord] = []
+    runs = []
     for _ in range(args.repeat):
         for k in args.k_list:
             provider = make_memory_provider(matrix, k)
-            sink = MemorySink(provider.layout)
-            summary = invert_full(provider, sink)
+            summary = invert_full(provider, MemorySink(provider.layout))
             c = summary.counters
-            records.append(
-                BenchRecord(
-                    method="bri",
-                    m=args.m,
-                    k=k,
-                    wall_ms=summary.wall_ms,
-                    peak_bytes=summary.peak_bytes,
-                    n_block_inv=c.block_inversions,
-                    n_block_mul=c.block_multiplications,
-                    seed=args.seed,
-                )
+            runs.append(
+                ("bri", args.m, k, summary.wall_ms, summary.peak_bytes,
+                 c.block_inversions, c.block_multiplications, args.seed)
             )
-        _, lu_record = bench_lu(matrix, args.seed)
-        records.append(lu_record)
+        _, wall_ms, peak_bytes = _lu(matrix)
+        runs.append(("lu", args.m, 1, wall_ms, peak_bytes, 1, 0, args.seed))
     if args.csv:
-        write_bench_csv(args.csv, records)
-    groups: dict[tuple[str, int], list[BenchRecord]] = {}
-    for record in records:
-        groups.setdefault((record.method, record.k), []).append(record)
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(_BENCH_COLUMNS)
+            writer.writerows((*run[:3], f"{run[3]:.3f}", *run[4:]) for run in runs)
+    groups: dict[tuple[str, int], list[tuple[float, int]]] = {}
+    for method, _, k, wall_ms, peak_bytes, *_ in runs:
+        groups.setdefault((method, k), []).append((wall_ms, peak_bytes))
     lines = [f"order {args.m}, {args.repeat} repeats per configuration"]
     rows = []
-    for (method, k), recs in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        wall = median(r.wall_ms for r in recs)
-        rows.append({"method": method, "k": k, "median_wall_ms": wall, "peak_bytes": recs[0].peak_bytes})
+    for (method, k), timings in sorted(groups.items()):
+        wall = median(w for w, _ in timings)
+        peak = timings[0][1]
+        rows.append({"method": method, "k": k, "median_wall_ms": wall, "peak_bytes": peak})
         label = f"k={k}" if method == "bri" else "dense"
-        lines.append(f"{method:>4} {label:>6}: median {wall:10.3f} ms, peak {recs[0].peak_bytes} bytes")
+        lines.append(f"{method:>4} {label:>6}: median {wall:10.3f} ms, peak {peak} bytes")
     if args.csv:
-        lines.append(f"wrote {len(records)} rows to {args.csv}")
+        lines.append(f"wrote {len(runs)} rows to {args.csv}")
     info = {"command": "bench", "m": args.m, "repeat": args.repeat, "rows": rows, "csv": args.csv}
     _emit(args, info, lines)
     return 0

@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable
 
-import numpy as np
-
 from .core import Block, Workspace, invert_dense, multiply, subtract
 from .errors import (
     FrameTooSmallError,
@@ -158,7 +156,6 @@ def reduce_frame(
     provider: BlockProvider,
     frame: Frame,
     ws: Workspace,
-    trace: Callable[[BranchPath, Frame, np.ndarray], None] | None = None,
     _path: BranchPath | None = None,
 ) -> Block:
     """Reduce a frame to a single b-by-b block.
@@ -168,9 +165,6 @@ def reduce_frame(
     its own label. A singular pivot at any node raises SingularPivotError
     carrying the branch path from the root and, as pivot block,
     ``provider.input_block`` of the frame's anchor.
-
-    ``trace``, when given, is called as trace(path, frame, value) with a
-    copy of every node's reduced value, leaves included.
     """
     path: BranchPath = (frame.label,) if _path is None else _path
     if frame.n == 2:
@@ -185,15 +179,13 @@ def reduce_frame(
 
         def get(key: int) -> Block:
             child = children[key]
-            return reduce_frame(provider, child, ws, trace, path + (child.label,))
+            return reduce_frame(provider, child, ws, path + (child.label,))
 
         q = frame.label.mirror
     try:
         out = _fold(get, q, ws)
     except SingularBlockError as e:
         raise SingularPivotError(path, provider.input_block(*frame.anchor)) from e
-    if trace is not None:
-        trace(path, frame, out.data.copy())
     return out
 
 
@@ -202,7 +194,6 @@ def invert_block(
     alpha: int,
     beta: int,
     ws: Workspace | None = None,
-    trace: Callable[[BranchPath, Frame, np.ndarray], None] | None = None,
 ) -> Block:
     """Block (alpha, beta), 1-based, of the inverse of the provided matrix.
 
@@ -217,7 +208,7 @@ def invert_block(
     if ws is None:
         ws = Workspace()
     view, finish = provider.run_view(alpha, beta)
-    red = reduce_frame(view, root_frame(lay.k), ws, trace)
+    red = reduce_frame(view, root_frame(lay.k), ws)
     win = invert_dense(red)
     if finish is None:
         return win

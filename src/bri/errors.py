@@ -19,7 +19,8 @@ class DimensionMismatchError(BriError):
 
 
 class BadPartitionError(BriError):
-    """Requested block partition is not usable (k < 2 or k > padded order)."""
+    """Unusable partition: k < 2, order m < 1, more than 2b padding indices at
+    k >= 5 (``run_view``), or a non-positive kernel gamma or sigma (``KernelSpec``)."""
 
 
 class IndexOutOfRangeError(BriError):

@@ -1,4 +1,4 @@
-"""Matrix file format (BRIM), streaming inverse sinks, and the bench CSV schema.
+"""Matrix file format (BRIM) and streaming inverse sinks.
 
 BRIM layout, little-endian throughout:
 
@@ -16,18 +16,15 @@ readers reject version 0 files.
 
 from __future__ import annotations
 
-import csv
 import mmap
 import os
 import struct
 import threading
-from dataclasses import dataclass, fields
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, FormatError, IndexOutOfRangeError, MissingBlocksError
-from .instrumentation import BenchRecord
 
 __all__ = [
     "MAGIC",
@@ -41,8 +38,6 @@ __all__ = [
     "BrimReader",
     "BrimSink",
     "MemorySink",
-    "CSV_COLUMNS",
-    "write_bench_csv",
 ]
 
 MAGIC = b"BRIM"
@@ -299,15 +294,3 @@ class MemorySink(_BlockSink):
         self._require_complete()
         return self.canvas
 
-
-# BenchRecord's field order is the column order.
-CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
-
-
-def write_bench_csv(path, records: Iterable[BenchRecord]) -> None:
-    """Write benchmark records with the fixed column order of CSV_COLUMNS."""
-    with open(os.fspath(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.row())

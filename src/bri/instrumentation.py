@@ -1,4 +1,4 @@
-"""Operation counters, memory gauge, and benchmark records.
+"""Operation counters, memory gauge, and cost predictions.
 
 Counting conventions
 --------------------
@@ -24,14 +24,13 @@ peak is the largest run's. Nothing in this module is global state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import BadPartitionError, GaugeUnderflowError
 
 __all__ = [
     "OpCounters",
     "MemoryGauge",
-    "BenchRecord",
     "predicted_counts",
 ]
 
@@ -88,23 +87,3 @@ def predicted_counts(k: int) -> OpCounters:
         schur_nodes=nodes,
     )
 
-
-@dataclass(frozen=True)
-class BenchRecord:
-    """One benchmark measurement, serializable as one CSV row."""
-
-    method: str  # "bri" or "lu"
-    m: int
-    k: int
-    wall_ms: float
-    peak_bytes: int
-    n_block_inv: int
-    n_block_mul: int
-    seed: int
-
-    def row(self) -> list:
-        """CSV cells in field order, wall time to three decimals."""
-        return [
-            f"{self.wall_ms:.3f}" if f.name == "wall_ms" else getattr(self, f.name)
-            for f in fields(self)
-        ]

@@ -23,7 +23,6 @@ from bri import (
     Quadrant,
     SingularPivotError,
     Workspace,
-    bench_lu,
     invert_block,
     invert_full,
     kernel_matrix,
@@ -33,9 +32,10 @@ from bri import (
     make_memory_provider,
     predicted_counts,
     read_matrix,
+    reduce_frame,
     write_matrix,
 )
-from conftest import full_inverse, rng, shifted
+from conftest import full_inverse, replay, rng, shifted
 
 
 def verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -60,8 +60,9 @@ def sweep_192():
         medians[k] = statistics.median(walls)
     lu_walls = []
     for _ in range(3):
-        _, rec = bench_lu(mat, seed=0)
-        lu_walls.append(rec.wall_ms)
+        t0 = time.perf_counter()
+        lu_invert_full(mat)
+        lu_walls.append((time.perf_counter() - t0) * 1e3)
     return medians, peaks, statistics.median(lu_walls)
 
 
@@ -118,12 +119,16 @@ def test_criterion_03_4x4_trace():
     want[(A, B, D)] = m[3, 4] - m[3, 2] / m[2, 2] * m[2, 4]
     want[(A, B)] = want[(A, B, B)] - want[(A, B, A)] / want[(A, B, C)] * want[(A, B, D)]
 
-    seen = {}
-    out = invert_block(
-        make_memory_provider(a, 4), 1, 1, Workspace(),
-        trace=lambda p, f, v: seen.__setitem__(p, v[0, 0]),
-    )
-    worst = max(abs(seen[path] - value) for path, value in want.items())
+    # each branch value replayed on the (1, 1) run's view
+    prov = make_memory_provider(a, 4)
+    view, _ = prov.run_view(1, 1)
+    ws = Workspace()
+    worst = 0.0
+    for path, value in want.items():
+        blk = reduce_frame(view, replay(4, path), ws)
+        worst = max(worst, abs(blk.data[0, 0] - value))
+        blk.release()
+    out = invert_block(prov, 1, 1, ws)
     root_err = abs(out.data[0, 0] - np.linalg.inv(a)[0, 0])
     out.release()
     verdict(

@@ -1,11 +1,10 @@
-"""Dense LU baseline and its benchmark record."""
+"""Dense LU baseline."""
 
 import numpy as np
 import pytest
 from scipy.linalg import hilbert
 
-from bri import SingularMatrixError, bench_lu, lu_invert_full
-from conftest import rng
+from bri import SingularMatrixError, lu_invert_full
 
 # exact rational inverse of the 4x4 Hilbert matrix (all entries integer)
 HILBERT4_INVERSE = np.array(
@@ -41,15 +40,3 @@ class TestLuInvertFull:
         with pytest.raises(SingularMatrixError):
             lu_invert_full(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
-
-class TestBenchLu:
-    def test_record_shape(self):
-        a = rng(70).standard_normal((16, 16)) + 16 * np.eye(16)
-        inv, rec = bench_lu(a, seed=7)
-        np.testing.assert_allclose(a @ inv, np.eye(16), atol=1e-10)
-        assert rec.method == "lu"
-        assert (rec.m, rec.k, rec.seed) == (16, 1, 7)
-        # resident input + the working copy that becomes the inverse
-        assert rec.peak_bytes == 2 * 8 * 16 * 16
-        assert rec.n_block_inv == 1 and rec.n_block_mul == 0
-        assert rec.wall_ms > 0

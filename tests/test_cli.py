@@ -3,6 +3,7 @@
 import csv
 import gc
 import json
+import re
 import warnings
 
 import numpy as np
@@ -11,12 +12,12 @@ import pytest
 import bri.cli
 import bri.errors
 from bri import (
-    CSV_COLUMNS,
     BriError,
     GaugeUnderflowError,
     SingularBlockError,
     SingularMatrixError,
     SingularPivotError,
+    lu_invert_full,
     read_matrix,
     write_matrix,
 )
@@ -147,6 +148,29 @@ class TestInvert:
                            "--k", "4", "--jobs", "2")
         assert code == 3 and "--jobs" in err
 
+    def test_seed_flag_is_usage_error(self, capsys, tmp_path):
+        # nothing reads a seed when inverting; there is no --seed flag
+        src = tmp_path / "a.brim"
+        write_matrix(src, shifted(8, 104))
+        code, _, err = run(capsys, "invert", "--in", str(src), "--out", str(tmp_path / "x.brim"),
+                           "--k", "4", "--seed", "7")
+        assert code == 3 and "--seed" in err
+
+    def test_lu_json_summary(self, capsys, tmp_path):
+        src, out = tmp_path / "a.brim", tmp_path / "x.brim"
+        a = shifted(12, 106)
+        write_matrix(src, a)
+        code, text, _ = run(capsys, "invert", "--in", str(src), "--out", str(out),
+                            "--method", "lu", "--json")
+        info = json.loads(text)
+        assert code == 0
+        assert sorted(info) == ["command", "m", "method", "out", "peak_bytes", "wall_ms"]
+        assert info["m"] == 12
+        assert info["wall_ms"] > 0
+        # resident input + the working copy that becomes the inverse
+        assert info["peak_bytes"] == 2 * 8 * 12 * 12
+        np.testing.assert_array_equal(read_matrix(out), lu_invert_full(a))
+
 
 class TestInvertBlock:
     def test_scalar_value_output(self, capsys, tmp_path):
@@ -249,7 +273,27 @@ class TestVerify:
         assert "inverse order 9" in err
 
 
+BENCH_COLUMNS = ("method", "m", "k", "wall_ms", "peak_bytes", "n_block_inv", "n_block_mul", "seed")
+
+
 class TestBench:
+    def test_csv_cells(self, capsys, tmp_path):
+        csv_path = tmp_path / "bench.csv"
+        code, _, _ = run(capsys, "bench", "--m", "16", "--k-list", "2,4",
+                         "--repeat", "1", "--csv", str(csv_path))
+        assert code == 0
+        with open(csv_path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert tuple(header) == BENCH_COLUMNS
+        wall = BENCH_COLUMNS.index("wall_ms")
+        assert all(re.fullmatch(r"\d+\.\d{3}", row[wall]) for row in rows)
+        assert [row[:wall] + row[wall + 1:] for row in rows] == [
+            ["bri", "16", "2", "1536", "8", "8", "42"],
+            ["bri", "16", "4", "640", "352", "672", "42"],
+            # dense LU: the input plus the working copy that becomes the inverse
+            ["lu", "16", "1", str(2 * 8 * 16 * 16), "1", "0", "42"],
+        ]
+
     def test_csv_row_count_and_schema(self, capsys, tmp_path):
         csv_path = tmp_path / "bench.csv"
         code, out, _ = run(capsys, "bench", "--m", "16", "--k-list", "2,4",
@@ -257,7 +301,7 @@ class TestBench:
         assert code == 0
         with open(csv_path, newline="") as fh:
             records = list(csv.DictReader(fh))
-        assert tuple(records[0]) == CSV_COLUMNS
+        assert tuple(records[0]) == BENCH_COLUMNS
         assert len(records) == 2 * (2 + 1)  # per repeat: one row per k, one LU row
         assert sum(1 for r in records if r["method"] == "lu") == 2
         assert {r["k"] for r in records if r["method"] == "bri"} == {"2", "4"}

@@ -269,30 +269,28 @@ class TestTraceHook:
         assert leaf_a == pytest.approx(-0.280110, abs=1e-6)
         assert node_b == pytest.approx(-0.984281, abs=1e-6)
 
-        seen = {}
+        # each branch value replayed on the (1, 1) run's view
         prov = make_memory_provider(a, 4)
-        out = invert_block(prov, 1, 1, ws, trace=lambda p, f, v: seen.__setitem__(p, v))
+        view, _ = prov.run_view(1, 1)
+
+        def value(path) -> float:
+            blk = reduce_frame(view, replay(4, path), ws)
+            v = blk.data[0, 0]
+            blk.release()
+            return v
+
         for path, want in {
             (A, B, A): leaf_a, (A, B, B): leaf_b,
             (A, B, C): leaf_c, (A, B, D): leaf_d,
             (A, B): node_b,
         }.items():
-            assert seen[path][0, 0] == pytest.approx(want, abs=1e-12)
+            assert value(path) == pytest.approx(want, abs=1e-12)
         # root reduction inverts to the (1,1) entry of the dense inverse
-        root = seen[(A,)][0, 0]
+        root = value((A,))
         assert 1.0 / root == pytest.approx(np.linalg.inv(a)[0, 0], abs=1e-12)
+        out = invert_block(prov, 1, 1, ws)
         assert out.data[0, 0] == pytest.approx(1.0 / root, abs=1e-15)
         out.release()
-
-    def test_trace_covers_every_node_once(self, ws):
-        prov = make_memory_provider(shifted(4, 86), 4)
-        calls = []
-        out = invert_block(prov, 1, 1, ws, trace=lambda p, f, v: calls.append(p))
-        out.release()
-        assert len(calls) == predicted_counts(4).schur_nodes
-        assert len(set(calls)) == len(calls)
-        assert all(p[0] is A for p in calls)
-        assert (A,) == calls[-1]  # root reduces last
 
 
 class TestInvertFull:

@@ -1,6 +1,5 @@
-"""BRIM files, block sinks, and the benchmark CSV schema."""
+"""BRIM files and block sinks."""
 
-import csv
 import mmap
 import os
 import struct
@@ -14,11 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bri import (
-    BenchRecord,
     BlockLayout,
     BrimReader,
     BrimSink,
-    CSV_COLUMNS,
     DimensionMismatchError,
     FormatError,
     IndexOutOfRangeError,
@@ -26,7 +23,6 @@ from bri import (
     MissingBlocksError,
     read_header,
     read_matrix,
-    write_bench_csv,
     write_matrix,
 )
 from bri import formats
@@ -363,19 +359,3 @@ def test_sinks_reject_wrong_shape_and_index(tmp_path, sink_cls):
         if sink_cls is BrimSink:
             sink.close()
 
-
-class TestBenchCsv:
-    def test_round_trip(self, tmp_path):
-        recs = [
-            BenchRecord("bri", 24, 4, 11.733, 1440, 352, 672, 42),
-            BenchRecord("lu", 24, 1, 0.099, 13824, 1, 0, 42),
-        ]
-        path = tmp_path / "bench.csv"
-        write_bench_csv(path, recs)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == list(CSV_COLUMNS)
-        assert rows[1:] == [
-            ["bri", "24", "4", "11.733", "1440", "352", "672", "42"],
-            ["lu", "24", "1", "0.099", "13824", "1", "0", "42"],
-        ]

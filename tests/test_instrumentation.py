@@ -1,11 +1,9 @@
-"""Counters, the memory gauge, cost predictions, benchmark records."""
+"""Counters, the memory gauge, cost predictions."""
 
 import pytest
 
 from bri import (
     BadPartitionError,
-    BenchRecord,
-    CSV_COLUMNS,
     GaugeUnderflowError,
     MemoryGauge,
     OpCounters,
@@ -54,14 +52,3 @@ class TestMemoryGauge:
         with pytest.raises(GaugeUnderflowError):
             g.on_release()
 
-
-class TestBenchRecord:
-    def test_row_matches_csv_column_order(self):
-        rec = BenchRecord(
-            method="bri", m=24, k=4, wall_ms=1.5, peak_bytes=1440,
-            n_block_inv=352, n_block_mul=672, seed=42,
-        )
-        row = rec.row()
-        assert len(row) == len(CSV_COLUMNS)
-        assert row[: 3] == ["bri", 24, 4]
-        assert row[CSV_COLUMNS.index("seed")] == 42
