@@ -1,5 +1,7 @@
-"""BRIM files and block sinks."""
+"""BRIM files, block sinks, and the benchmark CSV."""
 
+import csv
+import json
 import mmap
 import os
 import struct
@@ -26,6 +28,7 @@ from bri import (
     write_matrix,
 )
 from bri import formats
+from bri.cli import main
 from bri.formats import HEADER_BYTES
 from conftest import rng
 
@@ -359,3 +362,23 @@ def test_sinks_reject_wrong_shape_and_index(tmp_path, sink_cls):
         if sink_cls is BrimSink:
             sink.close()
 
+
+
+class TestBenchCsv:
+    def test_round_trip(self, capsys, tmp_path):
+        # the CSV read back carries what the same run reports as JSON
+        path = tmp_path / "bench.csv"
+        assert main(["bench", "--m", "12", "--k-list", "2,3", "--repeat", "1",
+                     "--csv", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        with open(path, newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert report["csv"] == str(path)
+        assert len(records) == 3
+        by_run = {(r["method"], int(r["k"])): r for r in records}
+        assert sorted(by_run) == [(row["method"], row["k"]) for row in report["rows"]]
+        for row in report["rows"]:
+            rec = by_run[row["method"], row["k"]]
+            assert int(rec["m"]) == 12 and int(rec["seed"]) == 42
+            assert int(rec["peak_bytes"]) == row["peak_bytes"]
+            assert float(rec["wall_ms"]) == pytest.approx(row["median_wall_ms"], abs=5e-4)

@@ -1,14 +1,21 @@
-"""Counters, the memory gauge, cost predictions."""
+"""Counters, the memory gauge, cost predictions, benchmark rows."""
+
+import csv
 
 import pytest
 
 from bri import (
     BadPartitionError,
+    MemorySink,
     GaugeUnderflowError,
     MemoryGauge,
     OpCounters,
+    invert_full,
+    make_memory_provider,
     predicted_counts,
 )
+from bri.cli import main
+from conftest import shifted
 
 
 class TestOpCounters:
@@ -52,3 +59,23 @@ class TestMemoryGauge:
         with pytest.raises(GaugeUnderflowError):
             g.on_release()
 
+
+
+class TestBenchRecord:
+    def test_row_matches_csv_column_order(self, capsys, tmp_path):
+        # each bri row's cells sit under the columns of the run's own counters
+        path = tmp_path / "bench.csv"
+        assert main(["bench", "--m", "16", "--k-list", "4", "--repeat", "1",
+                     "--csv", str(path)]) == 0
+        capsys.readouterr()
+        with open(path, newline="") as fh:
+            header, bri_row, lu_row = list(csv.reader(fh))
+        provider = make_memory_provider(shifted(16, 0), 4)
+        summary = invert_full(provider, MemorySink(provider.layout))
+        rec = dict(zip(header, bri_row))
+        assert len(bri_row) == len(lu_row) == len(header)
+        assert bri_row[:3] == ["bri", "16", "4"]
+        assert int(rec["peak_bytes"]) == summary.peak_bytes
+        assert int(rec["n_block_inv"]) == summary.counters.block_inversions
+        assert int(rec["n_block_mul"]) == summary.counters.block_multiplications
+        assert rec["seed"] == "42"
