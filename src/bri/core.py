@@ -23,15 +23,30 @@ Design notes
   BLAS and LAPACK call runs on the one OpenBLAS that scipy links. numpy
   bundles a second OpenBLAS with its own thread pool; alternating between
   the two makes each pool's idle threads spin against the other's work.
-* Singularity is a growth-scaled pivot test: |u_ii| <= b * eps * max|A|.
-  LAPACK wrapper scratch is not block-buffer accounting; the gauge counts
-  engine-managed buffers only.
+* The three LAPACK and BLAS calls come from scipy's compiled f2py modules,
+  ``scipy.linalg._fblas`` and ``_flapack``, loaded from their files without
+  importing the ``scipy.linalg`` package. That package pulls in scipy's
+  array-API layer and, through it, ``numpy.f2py``, ``numpy.ma``,
+  ``numpy.random`` and more, none of which bri uses. ``import bri`` took
+  about 0.5 s and 57 MiB RSS with it, and takes 0.2 s and 33 MiB without
+  (scipy 1.17, 2-core x86-64 Linux). Both modules are registered in
+  sys.modules under their own names, so a later ``import scipy.linalg``
+  reuses them and one OpenBLAS still serves all.
+* Singularity is a growth-scaled pivot test: |u_ii| <= b * eps * max|A|,
+  with max|A| taken as max(max A, -min A). That builds no |A| copy, and a
+  NaN in A makes it NaN, which fails every pivot. LAPACK wrapper scratch
+  is not block-buffer accounting; the gauge counts engine-managed buffers
+  only.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from .errors import DimensionMismatchError, GaugeUnderflowError, SingularBlockError
 from .instrumentation import MemoryGauge, OpCounters
@@ -45,6 +60,56 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def _extension(name: str, directory: str):
+    """The compiled module ``name`` loaded from ``directory`` and registered in
+    sys.modules, or the module already registered under ``name``.
+
+    Raises FileNotFoundError when ``directory`` holds no file for it.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    stem = name.rpartition(".")[2]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, stem + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise FileNotFoundError(f"no extension module {stem} in {directory}")
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    spec = importlib.util.spec_from_loader(name, loader, origin=path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+def _blas_lapack(linalg_dir: str | None):
+    """scipy's f2py BLAS and LAPACK modules, loaded from ``linalg_dir``
+    without importing ``scipy.linalg``; the public ``scipy.linalg.blas`` and
+    ``lapack`` when ``linalg_dir`` is None or lacks either file.
+    """
+    if linalg_dir is not None:
+        try:
+            return (
+                _extension("scipy.linalg._fblas", linalg_dir),
+                _extension("scipy.linalg._flapack", linalg_dir),
+            )
+        except FileNotFoundError:
+            pass
+    from scipy.linalg import blas, lapack
+
+    return blas, lapack
+
+
+def _scipy_linalg_dir() -> str | None:
+    """scipy's ``linalg`` directory, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    return os.path.join(spec.submodule_search_locations[0], "linalg") if spec else None
+
+
+blas, lapack = _blas_lapack(_scipy_linalg_dir())
 
 
 class Workspace:
@@ -164,7 +229,7 @@ def invert_dense(x: Block) -> Block:
     block x's contents are unspecified (the caller still owns and releases x).
     """
     order = x.order
-    scale = float(np.abs(x.data).max()) if order else 0.0
+    scale = float(np.maximum(x.data.max(), -x.data.min())) if order else 0.0
     # Factor A^T in place through the F-contiguous transposed view.
     at = x.data.T
     lu, piv, info = lapack.dgetrf(at, overwrite_a=1)

@@ -1,10 +1,13 @@
 """Dense LU baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import hilbert
 
 from bri import SingularMatrixError, lu_invert_full
+from conftest import shifted
 
 # exact rational inverse of the 4x4 Hilbert matrix (all entries integer)
 HILBERT4_INVERSE = np.array(
@@ -40,3 +43,21 @@ class TestLuInvertFull:
         with pytest.raises(SingularMatrixError):
             lu_invert_full(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
+
+    def test_nan_raises(self):
+        a = np.eye(3)
+        a[1, 2] = np.nan
+        with pytest.raises(SingularMatrixError):
+            lu_invert_full(a)
+
+    def test_peak_is_one_working_copy(self):
+        # The working copy, getri's 64-column workspace (m/4 of a copy at
+        # m=256) and the pivots; a temporary |A| would add a second copy.
+        a = shifted(256, 0)
+        tracemalloc.start()
+        try:
+            lu_invert_full(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * a.nbytes

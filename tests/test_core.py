@@ -1,5 +1,11 @@
 """Block primitives: allocation accounting, multiply, subtract, inversion."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +21,10 @@ from bri import (
     multiply,
     subtract,
 )
+from bri import core
 from conftest import rng
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestBlock:
@@ -165,6 +174,12 @@ class TestInvertDense:
         with pytest.raises(SingularBlockError):
             invert_dense(ws.from_array([[1.0, 2.0], [2.0, 4.0]]))
 
+    def test_nan_raises(self, ws):
+        a = np.eye(4)
+        a[2, 1] = np.nan
+        with pytest.raises(SingularBlockError):
+            invert_dense(ws.from_array(a))
+
     def test_counts_one_inversion(self, ws):
         out = invert_dense(ws.from_array(np.eye(4)))
         assert ws.counters.block_inversions == 1
@@ -196,3 +211,54 @@ class TestInvertDense:
         inv = invert_dense(ws.from_array(a))
         np.testing.assert_allclose(a @ inv.data, np.eye(order), rtol=0, atol=1e-10)
         inv.release()
+
+
+def _fresh_python(code: str) -> dict:
+    """Run ``code`` in a new interpreter with bri on its path; its printed JSON."""
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+_SAME_WRAPPERS = """
+import scipy.linalg
+import bri.core
+print(json.dumps({
+    "dgemm": scipy.linalg.blas.dgemm is bri.core.blas.dgemm,
+    "dgetrf": scipy.linalg.lapack.dgetrf is bri.core.lapack.dgetrf,
+    "dgetri": scipy.linalg.lapack.dgetri is bri.core.lapack.dgetri,
+}))
+"""
+
+
+class TestBlasLapackLoader:
+    def test_import_leaves_scipy_linalg_out(self):
+        out = _fresh_python("import json, sys, bri, bri.cli; print(json.dumps(sorted(sys.modules)))")
+        assert "scipy.linalg" not in out
+        assert {"scipy.linalg._fblas", "scipy.linalg._flapack"} <= set(out)
+
+    @pytest.mark.parametrize("first", ["import bri, bri.cli", "import scipy.linalg"])
+    def test_one_set_of_wrappers_either_import_order(self, first):
+        # bri's wrappers are the very objects scipy.linalg serves, so one
+        # OpenBLAS runs every call whichever package is imported first.
+        out = _fresh_python("import json\n" + first + _SAME_WRAPPERS)
+        assert out == {"dgemm": True, "dgetrf": True, "dgetri": True}
+
+    def test_falls_back_to_scipy_linalg_without_extension_files(self, tmp_path, monkeypatch):
+        import scipy.linalg
+
+        for name in ("scipy.linalg._fblas", "scipy.linalg._flapack"):
+            monkeypatch.delitem(sys.modules, name)
+        blas, lapack = core._blas_lapack(str(tmp_path))
+        assert blas is scipy.linalg.blas and lapack is scipy.linalg.lapack
+        assert "scipy.linalg._fblas" not in sys.modules
+        a = rng(5).standard_normal((6, 6)) + 6 * np.eye(6)
+        np.testing.assert_allclose(blas.dgemm(1.0, a, a), a @ a, rtol=1e-12)
+        lu, piv, info = lapack.dgetrf(a)
+        inv, info = lapack.dgetri(lu, piv)
+        assert info == 0
+        np.testing.assert_allclose(inv, np.linalg.inv(a), rtol=0, atol=1e-13)
