@@ -37,7 +37,6 @@ from .errors import (
     UsageError,
 )
 from .formats import (
-    BrimHeader,
     BrimReader,
     BrimSink,
     MemorySink,

@@ -20,7 +20,6 @@ import mmap
 import os
 import struct
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "VERSION",
     "DTYPE_F64",
     "HEADER_BYTES",
-    "BrimHeader",
     "write_matrix",
     "read_header",
     "read_matrix",
@@ -47,30 +45,16 @@ HEADER_BYTES = 24
 _HEADER_FMT = "<4sIQB7x"  # magic, version, order, dtype tag, reserved
 
 
-@dataclass(frozen=True)
-class BrimHeader:
-    """Decoded file header."""
-
-    m: int
-    version: int = VERSION
-    dtype_tag: int = DTYPE_F64
-
-    def pack(self) -> bytes:
-        return struct.pack(_HEADER_FMT, MAGIC, self.version, self.m, self.dtype_tag)
-
-    @property
-    def payload_bytes(self) -> int:
-        return 8 * self.m * self.m
-
-    @property
-    def total_bytes(self) -> int:
-        return HEADER_BYTES + self.payload_bytes
+def _pack_header(m: int, version: int = VERSION) -> bytes:
+    return struct.pack(_HEADER_FMT, MAGIC, version, m, DTYPE_F64)
 
 
-def _decode_header(raw: bytes, origin: str) -> BrimHeader:
+def _check_header(fh, origin: str) -> int:
+    """Check the header and total size of the open BRIM file ``fh``; return its order."""
+    raw = os.pread(fh.fileno(), HEADER_BYTES, 0)
     if len(raw) < HEADER_BYTES:
         raise FormatError(f"{origin}: truncated header ({len(raw)} of {HEADER_BYTES} bytes)")
-    magic, version, m, dtype_tag = struct.unpack(_HEADER_FMT, raw[:HEADER_BYTES])
+    magic, version, m, dtype_tag = struct.unpack(_HEADER_FMT, raw)
     if magic != MAGIC:
         raise FormatError(f"{origin}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
@@ -78,21 +62,18 @@ def _decode_header(raw: bytes, origin: str) -> BrimHeader:
         raise FormatError(f"{origin}: unsupported version {version}{note}")
     if dtype_tag != DTYPE_F64:
         raise FormatError(f"{origin}: unsupported dtype tag {dtype_tag}, expected {DTYPE_F64}")
-    return BrimHeader(m=int(m), version=version, dtype_tag=dtype_tag)
+    expected = HEADER_BYTES + 8 * m * m
+    actual = os.fstat(fh.fileno()).st_size
+    if actual != expected:
+        raise FormatError(f"{origin}: expected {expected} bytes for order {m}, found {actual}")
+    return m
 
 
-def read_header(path) -> BrimHeader:
-    """Read and validate a BRIM header, including total file size."""
+def read_header(path) -> int:
+    """Read and validate a BRIM header, including total file size; return the order."""
     path = os.fspath(path)
     with open(path, "rb") as fh:
-        header = _decode_header(fh.read(HEADER_BYTES), path)
-        actual = os.fstat(fh.fileno()).st_size
-    if actual != header.total_bytes:
-        raise FormatError(
-            f"{path}: expected {header.total_bytes} bytes for order {header.m}, "
-            f"found {actual}"
-        )
-    return header
+        return _check_header(fh, path)
 
 
 def write_matrix(path, matrix) -> None:
@@ -100,19 +81,20 @@ def write_matrix(path, matrix) -> None:
     a = np.ascontiguousarray(matrix, dtype="<f8")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got shape {a.shape}")
-    header = BrimHeader(m=a.shape[0])
     with open(os.fspath(path), "wb") as fh:
-        fh.write(header.pack())
+        fh.write(_pack_header(a.shape[0]))
         a.tofile(fh)
 
 
 def read_matrix(path) -> np.ndarray:
     """Read a whole BRIM file into an m-by-m float64 array."""
-    header = read_header(path)
-    flat = np.fromfile(os.fspath(path), dtype="<f8", count=header.m * header.m, offset=HEADER_BYTES)
-    if flat.size != header.m * header.m:
-        raise FormatError(f"{path}: payload shorter than advertised order {header.m}")
-    return flat.astype(np.float64, copy=False).reshape(header.m, header.m)
+    path = os.fspath(path)
+    with open(path, "rb") as fh:
+        m = _check_header(fh, path)
+        flat = np.fromfile(fh, dtype="<f8", count=m * m, offset=HEADER_BYTES)
+    if flat.size != m * m:
+        raise FormatError(f"{path}: payload shorter than advertised order {m}")
+    return flat.astype(np.float64, copy=False).reshape(m, m)
 
 
 # Row segments at most this many bytes apart are copied out of one mapping; wider
@@ -138,15 +120,15 @@ class BrimReader:
 
     def __init__(self, path):
         self.path = os.fspath(path)
-        self.header = read_header(self.path)
         self._fh = open(self.path, "rb")
-
-    @property
-    def m(self) -> int:
-        return self.header.m
+        try:
+            self.m = _check_header(self._fh, self.path)
+        except BaseException:
+            self._fh.close()
+            raise
 
     def read_rect(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
-        m = self.header.m
+        m = self.m
         if not (0 <= r0 <= r1 <= m and 0 <= c0 <= c1 <= m):
             raise IndexOutOfRangeError(f"rectangle [{r0}:{r1}, {c0}:{c1}] outside order {m}")
         out = np.empty((r1 - r0, c1 - c0), dtype="<f8")
@@ -194,12 +176,12 @@ class _BlockSink:
         self._received: set[tuple[int, int]] = set()
         self._lock = threading.Lock()
 
-    def _region(self, alpha: int, beta: int, block) -> tuple[int, int, np.ndarray]:
+    def _region(self, alpha: int, beta: int, data) -> tuple[int, int, np.ndarray]:
         """Check block (alpha, beta); return its origin and its real (unpadded) part."""
         lay = self.layout
         if not (1 <= alpha <= lay.k and 1 <= beta <= lay.k):
             raise IndexOutOfRangeError(f"block ({alpha}, {beta}) outside 1..{lay.k}")
-        data = np.asarray(getattr(block, "data", block))
+        data = np.asarray(data)
         if data.shape != (lay.b, lay.b):
             raise DimensionMismatchError(
                 f"block ({alpha}, {beta}) has shape {data.shape}, expected ({lay.b}, {lay.b})"
@@ -235,7 +217,7 @@ class BrimSink(_BlockSink):
         super().__init__(layout)
         self.path = os.fspath(path)
         self._fh = open(self.path, "w+b", buffering=0)
-        self._pwrite(BrimHeader(m=layout.m, version=0).pack(), 0)
+        self._pwrite(_pack_header(layout.m, version=0), 0)
         self._fh.truncate(HEADER_BYTES + 8 * layout.m * layout.m)
         self._finalized = False
 
@@ -257,7 +239,7 @@ class BrimSink(_BlockSink):
 
     def finalize(self) -> None:
         self._require_complete()
-        self._pwrite(BrimHeader(m=self.layout.m, version=VERSION).pack(), 0)
+        self._pwrite(_pack_header(self.layout.m), 0)
         self._finalized = True
 
     def close(self) -> None:

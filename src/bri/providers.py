@@ -374,7 +374,7 @@ def make_file_provider(path, k: int) -> BlockProvider:
     The file stays open until the provider is closed (``with provider:``).
     """
     # Check k against the header before opening, so a rejected layout leaks no file.
-    layout = BlockLayout.for_order(read_header(path).m, k)
+    layout = BlockLayout.for_order(read_header(path), k)
     return BlockProvider(_FileSource(path), layout)
 
 

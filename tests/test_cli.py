@@ -4,6 +4,7 @@ import csv
 import gc
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -112,6 +113,30 @@ class TestInvert:
         code, _, _ = run(capsys, "invert", "--in", str(src), "--out", str(tmp_path / "x"),
                          "--k", "1")
         assert code == 3
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_out_naming_the_input_is_refused(self, capsys, tmp_path, link):
+        # BrimSink would truncate the file the provider is still reading.
+        src = tmp_path / "a.brim"
+        write_matrix(src, shifted(12, 112))
+        before = src.read_bytes()
+        out = src
+        if link:
+            out = tmp_path / "link.brim"
+            out.symlink_to(src)
+        code, _, err = run(capsys, "invert", "--in", str(src), "--out", str(out), "--k", "4")
+        assert code == 3 and "input" in err
+        assert src.read_bytes() == before
+
+    def test_unrunnable_layout_leaves_existing_out(self, capsys, tmp_path):
+        # Order 3 split 7 ways needs l=4 > 2b=2 padding indices.
+        src, out = tmp_path / "a.brim", tmp_path / "existing.brim"
+        write_matrix(src, shifted(3, 113))
+        write_matrix(out, np.eye(5))
+        before = out.read_bytes()
+        code, _, err = run(capsys, "invert", "--in", str(src), "--out", str(out), "--k", "7")
+        assert code == 3 and "padding" in err
+        assert out.read_bytes() == before
 
     def test_missing_input_is_io_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "invert", "--in", str(tmp_path / "nope.brim"),
@@ -244,6 +269,25 @@ class TestVerify:
         info = json.loads(out)
         assert code == 0
         assert info["pass"] is True and info["tol"] == 1e-8
+
+    @pytest.mark.parametrize("given, bound", [(True, 3.5), (False, 4.5)],
+                             ids=["inverse", "recompute"])
+    def test_peak_memory(self, capsys, tmp_path, given, bound):
+        # The input, its LU inverse and the candidate, with the gap computed in
+        # the candidate's buffer; recomputing adds the block runs' buffers.
+        m = 256
+        src, inv = tmp_path / "a.brim", tmp_path / "inv.brim"
+        write_matrix(src, shifted(m, 114))
+        assert run(capsys, "invert", "--in", str(src), "--out", str(inv), "--k", "4")[0] == 0
+        argv = ["verify", "--in", str(src), "--k", "4"] + (["--inverse", str(inv)] if given else [])
+        tracemalloc.start()
+        try:
+            code = run(capsys, *argv)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < bound * m * m * 8
 
     def test_order_above_materialize_limit_is_refused_unread(self, capsys, monkeypatch, tmp_path):
         src = tmp_path / "a.brim"

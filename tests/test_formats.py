@@ -1,6 +1,7 @@
 """BRIM files, block sinks, and the benchmark CSV."""
 
 import csv
+import gc
 import json
 import mmap
 import os
@@ -94,6 +95,12 @@ class TestHeaderValidation:
         with pytest.raises(FormatError, match="expected"):
             read_header(path)
 
+    def test_read_header_returns_the_order(self, tmp_path):
+        path = tmp_path / "a.brim"
+        write_matrix(path, np.eye(5))
+        order = read_header(path)
+        assert type(order) is int and order == 5
+
     def test_version_zero_flagged_as_partial(self, tmp_path):
         path = tmp_path / "part.brim"
         write_matrix(path, np.eye(2))
@@ -105,6 +112,32 @@ class TestHeaderValidation:
 
 
 class TestBrimReader:
+    @pytest.mark.parametrize(
+        "offset, patch, match",
+        [(0, b"NOPE", "magic"), (4, struct.pack("<I", 0), "partial"), (None, b"", "expected")],
+        ids=["bad-magic", "version-0", "wrong-size"],
+    )
+    def test_bad_header_raises_and_closes(self, tmp_path, offset, patch, match):
+        path = tmp_path / "bad.brim"
+        write_matrix(path, np.eye(3))
+        raw = bytearray(path.read_bytes())
+        if offset is None:
+            raw = raw[:-8]  # one element short
+        else:
+            raw[offset : offset + len(patch)] = patch
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=match):
+            BrimReader(path)
+        # A leaked handle warns when collected; pyproject turns that into an error.
+        gc.collect()
+
+    def test_opens_its_file_once(self, tmp_path):
+        path = tmp_path / "a.brim"
+        write_matrix(path, np.eye(3))
+        with mock.patch("builtins.open", wraps=open) as spy:
+            BrimReader(path).close()
+        assert spy.call_count == 1
+
     def test_rect_reads_match_dense_slices(self, tmp_path):
         a = rng(3).standard_normal((9, 9))
         path = tmp_path / "a.brim"
