@@ -91,7 +91,7 @@ def _build_parser() -> _Parser:
 
     ver = sub.add_parser("verify", parents=[common], help="check an inverse against dense LU")
     ver.add_argument("--in", dest="input", required=True, help="input BRIM file")
-    ver.add_argument("--k", type=int, required=True, help="block partition")
+    ver.add_argument("--k", type=int, help="block partition (required without --inverse)")
     ver.add_argument("--inverse", help="claimed inverse to check (default: run the recursion)")
     ver.add_argument("--tol", type=float, default=1e-8, help="relative max-norm bound")
     ver.set_defaults(func=cmd_verify)
@@ -232,7 +232,7 @@ def cmd_invert_block(args) -> int:
     ws = Workspace()
     with provider:
         block = invert_block(provider, args.row, args.col, ws)
-    data = block.data.copy()
+    data = block.data
     block.release()
     if args.out:
         write_matrix(args.out, data)
@@ -264,6 +264,8 @@ def cmd_invert_block(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not args.inverse and args.k is None:
+        raise UsageError("verify without --inverse needs --k")
     # The check holds the input, its LU inverse and the candidate densely.
     m = read_header(args.input)
     if m > MATERIALIZE_LIMIT:

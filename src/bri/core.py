@@ -1,10 +1,9 @@
 """Dense b-by-b block arithmetic with explicit buffer accounting.
 
 All elements are float64 and every block buffer is a C-contiguous (b, b)
-ndarray owned by a :class:`Block`. Buffers are registered with a
-:class:`~bri.instrumentation.MemoryGauge` at allocation and deregistered by
-an explicit ``release()``, so peak-memory assertions are deterministic
-rather than GC-dependent.
+ndarray owned by a :class:`Block`. A :class:`~bri.instrumentation.MemoryGauge`
+counts each buffer from allocation until an explicit ``release()`` drops it,
+so peak counts are deterministic and match the buffers the process holds.
 
 Design notes
 ------------
@@ -135,10 +134,11 @@ class Block:
     """One square float64 block plus its accounting hooks.
 
     The buffer registers with the workspace gauge on construction and must
-    be released exactly once; a second release raises GaugeUnderflowError.
+    be released exactly once; release drops it, ``data`` becomes None, and a
+    second release raises GaugeUnderflowError.
     """
 
-    __slots__ = ("data", "_ws", "_released")
+    __slots__ = ("data", "_ws")
 
     def __init__(self, buf: np.ndarray, ws: Workspace):
         if buf.ndim != 2 or buf.shape[0] != buf.shape[1]:
@@ -154,7 +154,6 @@ class Block:
             buf = np.array(buf, dtype=np.float64, order="C")
         self.data = buf
         self._ws = ws
-        self._released = False
         ws.gauge.on_alloc()
 
     @property
@@ -162,15 +161,14 @@ class Block:
         return self.data.shape[0]
 
     def release(self) -> None:
-        """Deregister this block's buffer from the gauge."""
-        if self._released:
+        """Deregister this block's buffer from the gauge, then drop it."""
+        if self.data is None:
             raise GaugeUnderflowError("block released twice")
-        self._released = True
         self._ws.gauge.on_release()
+        self.data = None
 
     def __repr__(self) -> str:  # pragma: no cover
-        state = "released" if self._released else "live"
-        return f"Block(order={self.order}, {state})"
+        return "Block(released)" if self.data is None else f"Block(order={self.order}, live)"
 
 
 def _require_same_order(x: Block, y: Block) -> int:

@@ -217,8 +217,12 @@ class BrimSink(_BlockSink):
         super().__init__(layout)
         self.path = os.fspath(path)
         self._fh = open(self.path, "w+b", buffering=0)
-        self._pwrite(_pack_header(layout.m, version=0), 0)
-        self._fh.truncate(HEADER_BYTES + 8 * layout.m * layout.m)
+        try:
+            self._pwrite(_pack_header(layout.m, version=0), 0)
+            self._fh.truncate(HEADER_BYTES + 8 * layout.m * layout.m)
+        except BaseException:
+            self._fh.close()
+            raise
         self._finalized = False
 
     def _pwrite(self, data, offset: int) -> None:

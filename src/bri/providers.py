@@ -95,12 +95,12 @@ class KernelSpec:
     Elements are recomputed on every fetch; the inputs are the only state.
     """
 
-    inputs: np.ndarray  # (n, d), read-only
+    inputs: np.ndarray  # (n, d), a read-only copy
     gamma: float = 1.0
     sigma: float = 1.0
 
     def __post_init__(self):
-        x = np.ascontiguousarray(self.inputs, dtype=np.float64)
+        x = np.array(self.inputs, dtype=np.float64, order="C", copy=True)
         if x.ndim == 1:
             x = x[:, None]
         if x.ndim != 2 or x.shape[0] < 1:

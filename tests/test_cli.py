@@ -270,7 +270,16 @@ class TestVerify:
         assert code == 0
         assert info["pass"] is True and info["tol"] == 1e-8
 
-    @pytest.mark.parametrize("given, bound", [(True, 3.5), (False, 4.5)],
+    def test_k_is_needed_only_to_recompute(self, capsys, tmp_path):
+        src, inv = tmp_path / "a.brim", tmp_path / "inv.brim"
+        a = shifted(8, 115)
+        write_matrix(src, a)
+        write_matrix(inv, np.linalg.inv(a))
+        assert run(capsys, "verify", "--in", str(src), "--inverse", str(inv))[0] == 0
+        code, _, err = run(capsys, "verify", "--in", str(src))
+        assert code == 3 and "--k" in err
+
+    @pytest.mark.parametrize("given, bound", [(True, 3.5), (False, 3.75)],
                              ids=["inverse", "recompute"])
     def test_peak_memory(self, capsys, tmp_path, given, bound):
         # The input, its LU inverse and the candidate, with the gap computed in

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,13 @@ class TestBlock:
         blk.release()
         with pytest.raises(GaugeUnderflowError):
             blk.release()
+
+    def test_release_drops_the_buffer(self, ws):
+        blk = ws.from_array(np.eye(2))
+        buf = weakref.ref(blk.data)
+        blk.release()
+        assert blk.data is None
+        assert buf() is None  # freed, not just deregistered
 
     def test_gauge_counts_live_buffers(self, ws):
         a = ws.from_array(np.zeros((2, 2)))

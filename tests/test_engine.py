@@ -1,5 +1,7 @@
 """Reduction engine: frames, Schur elimination, single-block and full inversion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -326,3 +328,38 @@ class TestInvertFull:
         assert summary.peak_blocks <= 2 * 4 + 4
         assert summary.peak_bytes == summary.peak_blocks * 8 * 2 * 2
         assert summary.wall_ms > 0
+
+
+class _Discard:
+    """A sink that keeps nothing, so a traced peak shows only the block runs."""
+
+    def put(self, alpha, beta, data):
+        pass
+
+
+class TestTracedPeak:
+    # The gauge counts live blocks; tracemalloc counts every buffer Python
+    # still holds. A released block that stays reachable (a fold's locals
+    # across the recursion) would put the two apart by several blocks.
+    @pytest.mark.parametrize("m, k", [(256, 4), (384, 6)])
+    def test_within_one_block_of_the_gauge(self, m, k):
+        prov = make_memory_provider(shifted(m, 96), k)
+        block = 8 * (m // k) ** 2
+
+        def single() -> int:
+            ws = Workspace()
+            invert_block(prov, 2, 1, ws).release()
+            return ws.gauge.peak_blocks
+
+        def full() -> int:
+            return invert_full(prov, _Discard()).peak_blocks
+
+        single()  # warm-up: first-call allocations are not the runs' own
+        for run in (single, full):
+            tracemalloc.start()
+            try:
+                gauge = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < (gauge + 1) * block, (run.__name__, peak / block, gauge)

@@ -346,6 +346,13 @@ class TestBrimSink:
         with pytest.raises(FormatError, match="partial"):
             read_matrix(path)
 
+    def test_failed_header_write_closes_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: 0)
+        with pytest.raises(OSError, match="short write"):
+            BrimSink(tmp_path / "out.brim", BlockLayout.for_order(4, 2))
+        # A leaked handle warns when collected; pyproject turns that into an error.
+        gc.collect()
+
     def test_rejects_bad_shape_and_index(self, tmp_path):
         lay = BlockLayout.for_order(4, 2)
         with BrimSink(tmp_path / "out.brim", lay) as sink:

@@ -92,9 +92,10 @@ class TestFileProvider:
         write_matrix(path, a)
         with make_file_provider(path, 4) as prov:
             blk = prov.fetch_block(3, 2, ws)
+            data = blk.data
             blk.release()
         assert ws.gauge.peak_blocks <= 2
-        np.testing.assert_array_equal(blk.data, a[32:48, 16:32])
+        np.testing.assert_array_equal(data, a[32:48, 16:32])
 
     def test_unpadded_block_run_reads_once_per_fetch(self, tmp_path, monkeypatch, ws):
         # k = 4 fetches 4^(k-1) = 64 blocks; each whole block is one read
@@ -132,6 +133,17 @@ class TestKernelProvider:
         blk = prov.fetch_block(1, 1, ws)
         np.testing.assert_allclose(blk.data, [[0.0, 1.0], [1.0, 2.0]], atol=0)
         blk.release()
+
+    def test_inputs_are_copied(self, ws):
+        x = rng(31).standard_normal((3, 2))
+        prov = make_kernel_provider(KernelSpec(x), 2)
+        assert x.flags.writeable
+        before = prov.fetch_block(2, 2, ws)
+        x *= 2.0  # moves every pairwise distance
+        after = prov.fetch_block(2, 2, ws)
+        np.testing.assert_array_equal(after.data, before.data)
+        before.release()
+        after.release()
 
     def test_full_matrix_structure(self):
         spec = KernelSpec(inputs=rng(30).standard_normal((3, 2)), gamma=2.0, sigma=1.0)
