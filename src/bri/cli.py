@@ -159,6 +159,12 @@ def _lu(matrix: np.ndarray) -> tuple[np.ndarray, float, int]:
     return inverse, (time.perf_counter() - t0) * 1e3, 2 * matrix.nbytes
 
 
+def _refuse_out_over_input(args) -> None:
+    """UsageError when --out names the --in file, by the same path or a link."""
+    if args.out and os.path.exists(args.out) and os.path.samefile(args.out, args.input):
+        raise UsageError(f"--out {args.out} is the input file; write the result elsewhere")
+
+
 def cmd_invert(args) -> int:
     if args.method == "lu":
         matrix = read_matrix(args.input)
@@ -189,8 +195,7 @@ def cmd_invert(args) -> int:
     with provider:
         # Refuse before BrimSink truncates --out: the input is read while the
         # output is written, and run_view rejects a layout for every target alike.
-        if os.path.exists(args.out) and os.path.samefile(args.out, args.input):
-            raise UsageError(f"--out {args.out} is the input file; write the inverse elsewhere")
+        _refuse_out_over_input(args)
         provider.run_view(1, 1)
         with BrimSink(args.out, lay) as sink:
             summary = invert_full(provider, sink)
@@ -231,6 +236,7 @@ def cmd_invert_block(args) -> int:
     lay = provider.layout
     ws = Workspace()
     with provider:
+        _refuse_out_over_input(args)
         block = invert_block(provider, args.row, args.col, ws)
     data = block.data
     block.release()

@@ -8,16 +8,29 @@ so peak counts are deterministic and match the buffers the process holds.
 Design notes
 ------------
 * Operations are free functions matching the operand vocabulary:
-  ``multiply``, ``subtract``, ``invert_dense``. A result
-  block joins the workspace of its first operand.
-* ``invert_dense`` inverts in place, like ``subtract``: the returned block
-  *is* its input, so an inversion allocates no block buffer. LAPACK's
-  ``getrf`` factors the transposed view, which is Fortran-contiguous for a
-  C-ordered buffer, and ``getri`` overwrites the factors with the inverse
-  of that transpose, which reads back row-major as the inverse itself.
+  ``multiply``, ``subtract``, ``invert_dense``. Each writes its result
+  over its first operand's buffer and returns that very block, so no
+  operation allocates a block buffer: only a provider's fetch does.
+* ``invert_dense`` inverts in place. LAPACK's ``getrf`` factors the
+  transposed view, which is Fortran-contiguous for a C-ordered buffer,
+  and ``getri`` overwrites the factors with the inverse of that
+  transpose, which reads back row-major as the inverse itself.
   After the LU, ``getri`` costs 4/3 b^3 flops against 2 b^3 for solving
   against identity columns with ``getrs`` (Du Croz and Higham, "Stability
   of methods for matrix inversion", IMA J. Numer. Anal. 12, 1992).
+* ``multiply`` computes x y one row panel at a time: panel i of the
+  product reads only panel i of x, so it goes to a scratch panel and is
+  copied back over x. The panel is ceil(b/4) rows, a quarter block of
+  scratch beside the k live blocks of a run's peak. A half-block panel
+  costs one dgemm call fewer per panel pair but puts a full run at m=384,
+  k=6 above (gauge + 1) blocks under tracemalloc (7.12 of 7). Four dgemm
+  calls cost about 46% more than one at b=192. At orders that are
+  multiples of 16 the panels give the same bits as one dgemm over the
+  whole block. At other orders above 100 (b=101, say), and at some
+  below, OpenBLAS runs another kernel on the shorter panel and the
+  products differ in the last bits (summation order only). A product
+  cannot be written over its own right factor, so ``multiply(x, x)``
+  raises ValueError.
 * ``multiply`` calls scipy's ``dgemm`` rather than numpy's ``@``, so every
   BLAS and LAPACK call runs on the one OpenBLAS that scipy links. numpy
   bundles a second OpenBLAS with its own thread pool; alternating between
@@ -33,9 +46,9 @@ Design notes
   reuses them and one OpenBLAS still serves all.
 * Singularity is a growth-scaled pivot test: |u_ii| <= b * eps * max|A|,
   with max|A| taken as max(max A, -min A). That builds no |A| copy, and a
-  NaN in A makes it NaN, which fails every pivot. LAPACK wrapper scratch
-  is not block-buffer accounting; the gauge counts engine-managed buffers
-  only.
+  NaN in A makes it NaN, which fails every pivot. LAPACK's work array
+  and the multiply panel are scratch, not block buffers; the gauge counts
+  engine-managed buffers only.
 """
 
 from __future__ import annotations
@@ -178,22 +191,33 @@ def _require_same_order(x: Block, y: Block) -> int:
 
 
 def multiply(x: Block, y: Block) -> Block:
-    """Dense product x times y (BLAS dgemm). Allocates exactly one result buffer.
+    """Product x times y (BLAS dgemm), written over x's buffer; the returned
+    block *is* x.
 
-    Counts as one block multiplication.
+    Allocates no block buffer. Counts as one block multiplication. Raises
+    ValueError when y shares x's buffer, since the product would overwrite
+    its own right factor.
     """
     order = _require_same_order(x, y)
-    buf = np.empty((order, order))
-    # (x y)^T = y^T x^T on the F-contiguous transposed views, so dgemm writes
-    # the product straight into buf's C-ordered memory. beta=0 means BLAS
-    # never reads buf's uninitialised contents. f2py hands back the very
+    if y.data is x.data:
+        raise ValueError("cannot multiply a block by itself in place")
+    # Row panel i of x y needs only row panel i of x, so each panel's product
+    # goes to a scratch of ceil(b/4) rows and is then copied over the panel.
+    # (x_i y)^T = y^T x_i^T on F-contiguous transposed views, so dgemm writes
+    # straight into the scratch's C-ordered memory; beta=0 means it never
+    # reads the scratch's uninitialised contents. f2py hands back the very
     # array it wrote to; any other object would mean it wrote to a copy.
-    c = buf.T
-    if blas.dgemm(1.0, y.data.T, x.data.T, beta=0.0, c=c, overwrite_c=1) is not c:
-        raise RuntimeError("dgemm wrote its product to a copy of the output buffer")
-    out = Block(buf, x._ws)
+    height = -(-order // 4)
+    scratch = np.empty((height, order))
+    for r0 in range(0, order, height):
+        panel = x.data[r0 : r0 + height]
+        prod = scratch[: panel.shape[0]]
+        c = prod.T
+        if blas.dgemm(1.0, y.data.T, panel.T, beta=0.0, c=c, overwrite_c=1) is not c:
+            raise RuntimeError("dgemm wrote its product to a copy of the scratch panel")
+        panel[...] = prod
     x._ws.counters.block_multiplications += 1
-    return out
+    return x
 
 
 def subtract(x: Block, y: Block) -> Block:

@@ -20,13 +20,15 @@ B <-> C) on the 2x2 of its reduced children. A quadrant's value is
 q ^ 2.
 
 Buffer discipline: a node evaluates the pivot child first and inverts it
-in place, folds the other children in one at a time (T = pivot_inv @ rt,
-then U = l @ T, then r - U in place), and releases every intermediate as
-soon as it is consumed. Each node on the active recursion path therefore
-holds at most one finished block plus at most three transients at the
-fold point, which keeps the peak number of live buffers during one block
-run at k + 1, well under the asserted 2k + 4 envelope. There is no memoization across
-branches: subtrees refetch blocks from the provider by design.
+in place, then folds the other children in one at a time, each written
+over a block already held: T = pivot_inv @ rt over the inverse, U = l @ T
+over l, then r - U over r. Every intermediate is released as soon as it
+is consumed, and only a fetch allocates. A frame above a leaf therefore
+holds one block while it evaluates a child, and a leaf holds two, so the
+peak number of live buffers during one block run is exactly k (k - 2
+frames above the leaf, two at the leaf), the fewest this evaluation
+order allows. There is no memoization across branches: subtrees refetch
+blocks from the provider by design.
 
 A full inverse is k*k such runs, one after another on one workspace, so
 its peak is that of its largest run: time is traded for memory, one
@@ -133,18 +135,15 @@ def _fold(get: Callable[[int], Block], q: Quadrant, ws: Workspace) -> Block:
     opposite it (q ^ 3). ``get(quadrant)`` yields the operand at that
     quadrant when the fold needs it. Exactly 1 inversion + 2
     multiplications + 1 subtraction; every operand and intermediate is
-    released here. The pivot's inverse reuses the pivot's buffer and the
-    result reuses r's.
+    released here. Each operation writes over its first operand, so T
+    reuses the pivot's buffer, U reuses l's and the result reuses r's.
     """
     ws.counters.schur_nodes += 1
     inv = invert_dense(get(q))
     rt = get(q ^ 1)
     t = multiply(inv, rt)
-    inv.release()
     rt.release()
-    l = get(q ^ 2)
-    u = multiply(l, t)
-    l.release()
+    u = multiply(get(q ^ 2), t)
     t.release()
     r = get(q ^ 3)
     out = subtract(r, u)
@@ -223,8 +222,8 @@ class InversionSummary:
 
     wall_ms: float
     counters: OpCounters
-    peak_blocks: int  # the largest single-run peak of live block buffers
-    peak_bytes: int
+    peak_blocks: int  # the largest single-run peak of live block buffers: k
+    peak_bytes: int  # peak_blocks * b*b*8; multiply panel and LAPACK scratch excluded
 
 
 def invert_full(provider: BlockProvider, sink) -> InversionSummary:

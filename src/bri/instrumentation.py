@@ -15,8 +15,10 @@ and :func:`predicted_counts` returns those closed forms so tests can assert
 integer equality against measured counters.
 
 The memory gauge counts *live engine-managed block buffers* (b*b float64
-each), not heap bytes: provider-internal file buffers and BLAS scratch are
-outside it. Each workspace holds one tally and one gauge. A full
+each), not heap bytes: provider-internal file buffers, the multiply's
+scratch panel and LAPACK's work array are outside it. Block operations
+write over their first operand, so one block run peaks at exactly k
+blocks, k*b*b*8 bytes. Each workspace holds one tally and one gauge. A full
 inversion runs every block on one workspace; each run releases all its
 blocks before the next starts, so the tally is the sum over runs and the
 peak is the largest run's. Nothing in this module is global state.

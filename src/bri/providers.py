@@ -264,9 +264,11 @@ class BlockProvider:
         # The identity entries of the padding, as (row, col) view positions:
         # at most l < k of them, each padding row paired with the position
         # of its element index in cmap.
-        where = np.argsort(self._cmap)
         rpad = np.flatnonzero(self._rmap >= layout.m)
-        self._ones = list(zip(rpad.tolist(), where[self._rmap[rpad]].tolist()))
+        self._ones = []
+        if rpad.size:
+            where = np.argsort(self._cmap)
+            self._ones = list(zip(rpad.tolist(), where[self._rmap[rpad]].tolist()))
 
     def fetch_block(self, alpha: int, beta: int, ws: Workspace) -> Block:
         """Fetch block (alpha, beta), 1-based, as one freshly allocated buffer."""

@@ -233,6 +233,21 @@ class TestInvertBlock:
         assert code == 0
         np.testing.assert_allclose(read_matrix(out), np.linalg.inv(a)[2:4, 4:6], atol=1e-10)
 
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_out_naming_the_input_is_refused(self, capsys, tmp_path, link):
+        # Writing the block over --in would replace the whole input with it.
+        src = tmp_path / "a.brim"
+        write_matrix(src, shifted(12, 116))
+        before = src.read_bytes()
+        out = src
+        if link:
+            out = tmp_path / "link.brim"
+            out.symlink_to(src)
+        code, _, err = run(capsys, "invert-block", "--in", str(src), "--k", "4",
+                           "--row", "1", "--col", "2", "--out", str(out))
+        assert code == 3 and "input" in err
+        assert src.read_bytes() == before
+
 
 class TestVerify:
     def test_self_check_passes(self, capsys, tmp_path):
@@ -341,8 +356,8 @@ class TestBench:
         wall = BENCH_COLUMNS.index("wall_ms")
         assert all(re.fullmatch(r"\d+\.\d{3}", row[wall]) for row in rows)
         assert [row[:wall] + row[wall + 1:] for row in rows] == [
-            ["bri", "16", "2", "1536", "8", "8", "42"],
-            ["bri", "16", "4", "640", "352", "672", "42"],
+            ["bri", "16", "2", "1024", "8", "8", "42"],
+            ["bri", "16", "4", "512", "352", "672", "42"],
             # dense LU: the input plus the working copy that becomes the inverse
             ["lu", "16", "1", str(2 * 8 * 16 * 16), "1", "0", "42"],
         ]

@@ -193,15 +193,16 @@ class TestInvertBlock:
     # (m, k): unpadded, and padded with l = 2 and l = 3
     @pytest.mark.parametrize("m, k", [(8, 2), (12, 3), (8, 4), (10, 4), (13, 4), (15, 5)])
     def test_peak_is_k_plus_one_for_every_target(self, m, k):
-        # the buffer discipline of the engine docstring: k + 1 live blocks
+        # the buffer discipline of the engine docstring: k live blocks, one
+        # fewer than the k + 1 of a multiply that allocates its product
         prov = make_memory_provider(shifted(m, 92), k)
         for alpha in range(1, k + 1):
             for beta in range(1, k + 1):
                 ws = Workspace()
                 invert_block(prov, alpha, beta, ws).release()
-                assert ws.gauge.peak_blocks == k + 1, (alpha, beta)
+                assert ws.gauge.peak_blocks == k, (alpha, beta)
                 assert ws.gauge.live_blocks == 0
-        assert invert_full(prov, MemorySink(prov.layout)).peak_blocks == k + 1
+        assert invert_full(prov, MemorySink(prov.layout)).peak_blocks == k
 
     def test_k_invariance_of_full_inverse(self):
         a = shifted(12, 84)
@@ -363,3 +364,21 @@ class TestTracedPeak:
             finally:
                 tracemalloc.stop()
             assert peak < (gauge + 1) * block, (run.__name__, peak / block, gauge)
+
+    def test_block_run_holds_k_blocks_and_scratch(self):
+        # Products written in place: one m=768, k=4 run (b=192) holds its
+        # k blocks plus a quarter-block multiply panel and LAPACK's work
+        # array, never a k + 1st block.
+        m, k = 768, 4
+        prov = make_memory_provider(shifted(m, 97), k)
+        block = 8 * (m // k) ** 2
+        ws = Workspace()
+        invert_block(prov, 2, 1, ws).release()  # warm-up
+        tracemalloc.start()
+        try:
+            invert_block(prov, 2, 1, ws).release()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ws.gauge.peak_blocks == k
+        assert peak < (k + 0.5) * block, peak / block
