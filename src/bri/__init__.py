@@ -13,7 +13,6 @@ from .core import Block, Workspace, invert_dense, multiply, subtract
 from .engine import (
     BranchPath,
     Frame,
-    InversionSummary,
     Quadrant,
     invert_block,
     invert_full,

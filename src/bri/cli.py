@@ -159,6 +159,15 @@ def _lu(matrix: np.ndarray) -> tuple[np.ndarray, float, int]:
     return inverse, (time.perf_counter() - t0) * 1e3, 2 * matrix.nbytes
 
 
+def _bri(provider, sink) -> tuple[Workspace, float, int]:
+    """Block-recursive inverse into ``sink``: its workspace, wall ms, and peak bytes."""
+    ws = Workspace()
+    t0 = time.perf_counter()
+    invert_full(provider, sink, ws)
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    return ws, wall_ms, ws.gauge.peak_blocks * 8 * provider.layout.b**2
+
+
 def _refuse_out_over_input(args) -> None:
     """UsageError when --out names the --in file, by the same path or a link."""
     if args.out and os.path.exists(args.out) and os.path.samefile(args.out, args.input):
@@ -198,8 +207,8 @@ def cmd_invert(args) -> int:
         _refuse_out_over_input(args)
         provider.run_view(1, 1)
         with BrimSink(args.out, lay) as sink:
-            summary = invert_full(provider, sink)
-    c = summary.counters
+            ws, wall_ms, peak_bytes = _bri(provider, sink)
+    c, peak = ws.counters, ws.gauge.peak_blocks
     info = {
         "command": "invert",
         "method": "bri",
@@ -207,10 +216,10 @@ def cmd_invert(args) -> int:
         "k": lay.k,
         "b": lay.b,
         "l": lay.l,
-        "wall_ms": summary.wall_ms,
-        "peak_blocks": summary.peak_blocks,
+        "wall_ms": wall_ms,
+        "peak_blocks": peak,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "peak_bytes": summary.peak_bytes,
+        "peak_bytes": peak_bytes,
         "block_inversions": c.block_inversions,
         "block_multiplications": c.block_multiplications,
         "block_subtractions": c.block_subtractions,
@@ -222,8 +231,8 @@ def cmd_invert(args) -> int:
         info,
         [
             f"inverted order {lay.m} with k={lay.k} (b={lay.b}, l={lay.l}) "
-            f"in {summary.wall_ms:.3f} ms",
-            f"peak {summary.peak_blocks} live blocks ({summary.peak_bytes} bytes)",
+            f"in {wall_ms:.3f} ms",
+            f"peak {peak} live blocks ({peak_bytes} bytes)",
             f"{c.block_inversions} block inversions, {c.block_multiplications} "
             f"multiplications, {c.schur_nodes} reductions; wrote {args.out}",
         ],
@@ -242,7 +251,7 @@ def cmd_invert_block(args) -> int:
     block.release()
     if args.out:
         write_matrix(args.out, data)
-    bound = 2 * lay.k + 4
+    bound = lay.k  # a block run holds exactly k live blocks
     info = {
         "command": "invert-block",
         "row": args.row,
@@ -288,7 +297,7 @@ def cmd_verify(args) -> int:
         # Blocks come from the file, as in `bri invert`: no second copy of the input.
         with make_file_provider(args.input, args.k) as provider:
             sink = MemorySink(provider.layout)
-            invert_full(provider, sink)
+            invert_full(provider, sink, Workspace())
         candidate = sink.finalize()
     # The gap overwrites the candidate, so the check adds no order-m array.
     gap = np.abs(np.subtract(candidate, reference, out=candidate), out=candidate)
@@ -325,10 +334,10 @@ def cmd_bench(args) -> int:
     for _ in range(args.repeat):
         for k in args.k_list:
             provider = make_memory_provider(matrix, k)
-            summary = invert_full(provider, MemorySink(provider.layout))
-            c = summary.counters
+            ws, wall_ms, peak_bytes = _bri(provider, MemorySink(provider.layout))
+            c = ws.counters
             runs.append(
-                ("bri", args.m, k, summary.wall_ms, summary.peak_bytes,
+                ("bri", args.m, k, wall_ms, peak_bytes,
                  c.block_inversions, c.block_multiplications, args.seed)
             )
         _, wall_ms, peak_bytes = _lu(matrix)

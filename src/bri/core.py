@@ -7,10 +7,11 @@ so peak counts are deterministic and match the buffers the process holds.
 
 Design notes
 ------------
-* Operations are free functions matching the operand vocabulary:
-  ``multiply``, ``subtract``, ``invert_dense``. Each writes its result
-  over its first operand's buffer and returns that very block, so no
-  operation allocates a block buffer: only a provider's fetch does.
+* A block owns its buffer; ``Block`` refuses one it does not own rather
+  than copy it. Operations are free functions matching the operand
+  vocabulary: ``multiply``, ``subtract``, ``invert_dense``. Each writes its
+  result over its first operand's buffer and returns that very block, so
+  only a provider's fetch allocates one (and a padded run's finisher).
 * ``invert_dense`` inverts in place. LAPACK's ``getrf`` factors the
   transposed view, which is Fortran-contiguous for a C-ordered buffer,
   and ``getri`` overwrites the factors with the inverse of that
@@ -146,9 +147,11 @@ class Workspace:
 class Block:
     """One square float64 block plus its accounting hooks.
 
-    The buffer registers with the workspace gauge on construction and must
-    be released exactly once; release drops it, ``data`` becomes None, and a
-    second release raises GaugeUnderflowError.
+    The block owns its buffer: a view or a read-only, F-ordered or non-float64
+    array raises ValueError, and nothing is copied. The buffer registers with
+    the workspace gauge on construction and must be released exactly once;
+    release drops it, ``data`` becomes None, and a second release raises
+    GaugeUnderflowError.
     """
 
     __slots__ = ("data", "_ws")
@@ -156,15 +159,10 @@ class Block:
     def __init__(self, buf: np.ndarray, ws: Workspace):
         if buf.ndim != 2 or buf.shape[0] != buf.shape[1]:
             raise DimensionMismatchError(f"block buffer must be square, got {buf.shape}")
-        # Blocks own writable scratch: in-place subtract and the in-place
-        # factorization inside invert_dense write through this buffer.
-        if (
-            buf.dtype != np.float64
-            or not buf.flags["C_CONTIGUOUS"]
-            or not buf.flags.writeable
-            or not buf.flags.owndata
-        ):
-            buf = np.array(buf, dtype=np.float64, order="C")
+        # Operations write through the buffer in place, and release frees it.
+        f = buf.flags
+        if not (buf.dtype == np.float64 and f.c_contiguous and f.writeable and f.owndata):
+            raise ValueError("a block needs a writable C-ordered float64 buffer of its own")
         self.data = buf
         self._ws = ws
         ws.gauge.on_alloc()

@@ -37,7 +37,6 @@ block at a time.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable
@@ -48,7 +47,6 @@ from .errors import (
     SingularBlockError,
     SingularPivotError,
 )
-from .instrumentation import OpCounters
 from .providers import BlockProvider
 
 __all__ = [
@@ -60,7 +58,6 @@ __all__ = [
     "reduce_frame",
     "invert_block",
     "invert_full",
-    "InversionSummary",
 ]
 
 
@@ -192,7 +189,7 @@ def invert_block(
     provider: BlockProvider,
     alpha: int,
     beta: int,
-    ws: Workspace | None = None,
+    ws: Workspace,
 ) -> Block:
     """Block (alpha, beta), 1-based, of the inverse of the provided matrix.
 
@@ -200,12 +197,11 @@ def invert_block(
     (normally the block-permuted view that moves the target into leading
     position; padded off-diagonal targets get an element-shifted window),
     inverts the root reduction, and applies the view's finishing map if
-    any. A singular final reduction raises SingularBlockError; singular
-    interior pivots raise SingularPivotError (see reduce_frame).
+    any. Every block it allocates belongs to ``ws``. A singular final
+    reduction raises SingularBlockError; singular interior pivots raise
+    SingularPivotError (see reduce_frame).
     """
     lay = provider.layout
-    if ws is None:
-        ws = Workspace()
     view, finish = provider.run_view(alpha, beta)
     red = reduce_frame(view, root_frame(lay.k), ws)
     win = invert_dense(red)
@@ -216,37 +212,18 @@ def invert_block(
     return Block(data, ws)
 
 
-@dataclass
-class InversionSummary:
-    """Accounting for one full-inverse computation."""
-
-    wall_ms: float
-    counters: OpCounters
-    peak_blocks: int  # the largest single-run peak of live block buffers: k
-    peak_bytes: int  # peak_blocks * b*b*8; multiply panel and LAPACK scratch excluded
-
-
-def invert_full(provider: BlockProvider, sink) -> InversionSummary:
+def invert_full(provider: BlockProvider, sink, ws: Workspace) -> None:
     """All k*k inverse blocks, streamed to ``sink.put(alpha, beta, data)``.
 
     Runs row-major over (alpha, beta), one block run at a time on the
     calling thread, and never holds more than one output block. All runs
-    share one workspace: each releases every block before the next
-    starts, so its tally is the sum over runs and its peak is the largest
-    run's high-water mark.
+    share the workspace ``ws``: each releases every block before the next
+    starts, so its tally grows by the sum over runs and its peak is the
+    largest run's high-water mark.
     """
     lay = provider.layout
-    t0 = time.perf_counter()
-    ws = Workspace()
     for alpha in range(1, lay.k + 1):
         for beta in range(1, lay.k + 1):
             blk = invert_block(provider, alpha, beta, ws)
             sink.put(alpha, beta, blk.data)
             blk.release()
-    peak = ws.gauge.peak_blocks
-    return InversionSummary(
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-        counters=ws.counters,
-        peak_blocks=peak,
-        peak_bytes=peak * 8 * lay.b * lay.b,
-    )

@@ -111,7 +111,8 @@ class BrimReader:
     copied out of one read-only mapping of its row span, closed before
     ``read_rect`` returns; while mapped, its page-cache pages count toward
     RSS, so a read raises RSS by at most rows*m*8 bytes. A wider gap gets
-    one ``os.preadv`` per row, straight into the output. Nothing else is
+    one ``os.preadv`` per row, straight into the caller's destination,
+    which is byte-swapped in place on big-endian hosts. Nothing else is
     buffered and the file offset never moves, so concurrent callers need no
     lock. The file must not shrink while a reader holds it: a read names
     the first row segment past its end in a ``FormatError``, but a shrink
@@ -127,11 +128,13 @@ class BrimReader:
             self._fh.close()
             raise
 
-    def read_rect(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    def read_rect(self, r0: int, r1: int, c0: int, c1: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` (native float64, the rectangle's shape, rows contiguous); return it."""
         m = self.m
         if not (0 <= r0 <= r1 <= m and 0 <= c0 <= c1 <= m):
             raise IndexOutOfRangeError(f"rectangle [{r0}:{r1}, {c0}:{c1}] outside order {m}")
-        out = np.empty((r1 - r0, c1 - c0), dtype="<f8")
+        if out.shape != (r1 - r0, c1 - c0) or out.dtype != np.float64 or not out[:1].flags.c_contiguous:
+            raise DimensionMismatchError(f"destination {out.dtype}{out.shape} for [{r0}:{r1}, {c0}:{c1}]")
         fd, stride, row_bytes = self._fh.fileno(), m * 8, (c1 - c0) * 8
         offset = start = HEADER_BYTES + (r0 * m + c0) * 8
         end = start + (r1 - r0 - 1) * stride + row_bytes
@@ -145,15 +148,17 @@ class BrimReader:
                         raise FormatError(f"{self.path}: short read at byte {offset}: "
                                           f"expected {row_bytes} bytes, got {got}")
                     offset += stride
+                if not np.dtype("<f8").isnative:  # rows hold the file's bytes
+                    out.byteswap(inplace=True)
             else:
                 base = start - start % mmap.ALLOCATIONGRANULARITY
                 with mmap.mmap(fd, end - base, prot=mmap.PROT_READ, offset=base) as mapped:
-                    # The strided view is a temporary, released before the mapping closes.
+                    # The strided view is a temporary, released before the mapping
+                    # closes; copyto converts its little-endian elements to native.
                     np.copyto(out, np.ndarray(out.shape, "<f8", mapped, start - base, (stride, 8)))
         except OSError as e:
             raise OSError(f"{self.path}: read failed at byte {offset}: {e}") from e
-        # A no-op on little-endian hosts; a byte swap on big-endian ones.
-        return out.astype(np.float64, copy=False)
+        return out
 
     def close(self) -> None:
         self._fh.close()

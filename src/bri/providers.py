@@ -2,7 +2,9 @@
 
 A provider hands out one b-by-b block per fetch as a fresh buffer; nothing
 is cached or kept resident between fetches. Backings: an in-memory array, a
-BRIM file read by row segments, or a kernel rule evaluated on demand.
+BRIM file read by row segments, or a kernel rule evaluated on demand. A
+fetch allocates that buffer and has its source write each strip straight
+into its slice of it, so the block is the only block-sized allocation.
 
 One class, BlockProvider, serves every view. It reads the order m+l
 block-diagonal extension [[M, 0], [0, I]], which lets every k divide the
@@ -116,7 +118,8 @@ class KernelSpec:
 
 
 # ---------------------------------------------------------------------------
-# Element sources: rectangle reads over the raw (unpadded) m-by-m matrix.
+# Element sources: rect(r0, r1, c0, c1, out) writes that rectangle of the raw
+# (unpadded) m-by-m matrix into out, the caller's float64 array of its shape.
 # ---------------------------------------------------------------------------
 
 
@@ -129,8 +132,8 @@ class _MemorySource:
         self.matrix = a
         self.m = a.shape[0]
 
-    def rect(self, r0, r1, c0, c1) -> np.ndarray:
-        return self.matrix[r0:r1, c0:c1]
+    def rect(self, r0, r1, c0, c1, out: np.ndarray) -> None:
+        out[...] = self.matrix[r0:r1, c0:c1]
 
 
 class _FileSource:
@@ -138,18 +141,19 @@ class _FileSource:
         self.reader = BrimReader(path)
         self.m = self.reader.m
 
-    def rect(self, r0, r1, c0, c1) -> np.ndarray:
-        return self.reader.read_rect(r0, r1, c0, c1)
+    def rect(self, r0, r1, c0, c1, out: np.ndarray) -> None:
+        self.reader.read_rect(r0, r1, c0, c1, out)
 
 
 class _KernelSource:
+    PANEL = 1024  # elements of one row panel (8 KiB)
+
     def __init__(self, spec: KernelSpec):
         self.spec = spec
         self.m = spec.order
 
-    def rect(self, r0, r1, c0, c1) -> np.ndarray:
+    def rect(self, r0, r1, c0, c1, out: np.ndarray) -> None:
         spec = self.spec
-        out = np.empty((r1 - r0, c1 - c0))
         if r0 == 0:
             out[0, :] = 1.0
             if c0 == 0:
@@ -158,16 +162,25 @@ class _KernelSource:
             out[max(r0, 1) - r0 :, 0] = 1.0
         i0, j0 = max(r0, 1), max(c0, 1)
         if i0 < r1 and j0 < c1:
-            xi = spec.inputs[i0 - 1 : r1 - 1]
-            xj = spec.inputs[j0 - 1 : c1 - 1]
-            sq = ((xi[:, None, :] - xj[None, :, :]) ** 2).sum(axis=2)
-            gram = np.exp(sq / (-2.0 * spec.sigma**2))
+            gram = out[i0 - r0 :, j0 - c0 :]
+            xi = spec.inputs[i0 - 1 : r1 - 1].T
+            xj = spec.inputs[j0 - 1 : c1 - 1].T
+            # Row panels of about PANEL elements, squares summed one dimension
+            # at a time: each temporary is at most a panel. For d < 8 that is the
+            # order of numpy's sum(axis=-1), so entries are bit-identical to it.
+            h = max(1, self.PANEL // gram.shape[1])
+            for p in range(0, gram.shape[0], h):
+                acc = gram[p : p + h]
+                acc[...] = 0.0
+                for a, b in zip(xi[:, p : p + h], xj):
+                    diff = np.subtract.outer(a, b)
+                    acc += np.square(diff, out=diff)
+                np.divide(acc, -2.0 * spec.sigma**2, out=acc)
+                np.exp(acc, out=acc)
             # ridge term on the global diagonal only
             di = np.arange(i0, r1)
             on_diag = (di >= j0) & (di < c1)
             gram[np.flatnonzero(on_diag), di[on_diag] - j0] += 1.0 / spec.gamma
-            out[i0 - r0 :, j0 - c0 :] = gram
-        return out
 
 
 def _real_window(lay: BlockLayout, j: int) -> int:
@@ -271,20 +284,16 @@ class BlockProvider:
             self._ones = list(zip(rpad.tolist(), where[self._rmap[rpad]].tolist()))
 
     def fetch_block(self, alpha: int, beta: int, ws: Workspace) -> Block:
-        """Fetch block (alpha, beta), 1-based, as one freshly allocated buffer."""
+        """Fetch block (alpha, beta), 1-based, into one freshly allocated buffer."""
         k, b = self.layout.k, self.layout.b
         if not (1 <= alpha <= k and 1 <= beta <= k):
             raise IndexOutOfRangeError(f"block ({alpha}, {beta}) outside 1..{k}")
         rows, cols = self._rows[alpha - 1], self._cols[beta - 1]
-        if rows and cols and rows[0][2] == b == cols[0][2]:
-            # One whole strip each way: a single read. It may be a read-only
-            # view (memory source); Block copies only such buffers.
-            e, f = rows[0][1], cols[0][1]
-            return Block(self.source.rect(e, e + b, f, f + b), ws)
+        # Every strip is written in place; padding leaves the gaps zero.
         out = np.zeros((b, b))
         for p, e, h in rows:
             for q, f, w in cols:
-                out[p : p + h, q : q + w] = self.source.rect(e, e + h, f, f + w)
+                self.source.rect(e, e + h, f, f + w, out[p : p + h, q : q + w])
         r0, c0 = (alpha - 1) * b, (beta - 1) * b
         for r, c in self._ones:
             if r0 <= r < r0 + b and c0 <= c < c0 + b:
@@ -371,7 +380,7 @@ def make_memory_provider(matrix, k: int) -> BlockProvider:
 
 
 def make_file_provider(path, k: int) -> BlockProvider:
-    """Provider over a BRIM file; each fetch copies at most b row segments.
+    """Provider over a BRIM file; each fetch reads its row segments into the block.
 
     The file stays open until the provider is closed (``with provider:``).
     """
@@ -388,4 +397,6 @@ def make_kernel_provider(spec: KernelSpec, k: int) -> BlockProvider:
 
 def kernel_matrix(spec: KernelSpec) -> np.ndarray:
     """The full order-(n+1) kernel system matrix as one dense array."""
-    return _KernelSource(spec).rect(0, spec.order, 0, spec.order)
+    out = np.empty((spec.order, spec.order))
+    _KernelSource(spec).rect(0, spec.order, 0, spec.order, out)
+    return out

@@ -26,7 +26,7 @@ def shifted(m: int, seed: int) -> np.ndarray:
 def full_inverse(matrix: np.ndarray, k: int) -> np.ndarray:
     provider = make_memory_provider(matrix, k)
     sink = MemorySink(provider.layout)
-    invert_full(provider, sink)
+    invert_full(provider, sink, Workspace())
     return sink.finalize()
 
 

@@ -54,9 +54,11 @@ def sweep_192():
         for _ in range(3):
             prov = make_memory_provider(mat, k)
             sink = MemorySink(prov.layout)
-            summary = invert_full(prov, sink)
-            walls.append(summary.wall_ms)
-            peaks[k] = summary.peak_bytes
+            ws = Workspace()
+            t0 = time.perf_counter()
+            invert_full(prov, sink, ws)
+            walls.append((time.perf_counter() - t0) * 1e3)
+            peaks[k] = ws.gauge.peak_blocks * 8 * prov.layout.b**2
         medians[k] = statistics.median(walls)
     lu_walls = []
     for _ in range(3):
@@ -101,7 +103,7 @@ def test_criterion_02_k2_closed_form():
             }
             prov = make_memory_provider(a, 2)
             for (alpha, beta), want in closed.items():
-                got = invert_block(prov, alpha, beta)
+                got = invert_block(prov, alpha, beta, Workspace())
                 err = np.abs(got.data - want).max() / max(1.0, np.abs(want).max())
                 got.release()
                 worst = max(worst, err)
@@ -153,7 +155,6 @@ def test_criterion_04_operation_counts():
 
 
 def test_criterion_05_memory_contract(sweep_192):
-    worst_margin = None
     ok = True
     for k in range(2, 8):
         for b in (1, 4, 16):
@@ -161,14 +162,12 @@ def test_criterion_05_memory_contract(sweep_192):
             prov = make_memory_provider(shifted(k * b, 300 + k * b), k)
             out = invert_block(prov, 1, 1, ws)
             out.release()
-            ok = ok and ws.gauge.peak_blocks <= 2 * k + 4
-            margin = 2 * k + 4 - ws.gauge.peak_blocks
-            worst_margin = margin if worst_margin is None else min(worst_margin, margin)
+            ok = ok and ws.gauge.peak_blocks == k
     _, peaks, _ = sweep_192
     trend = peaks[2] > peaks[4] > peaks[8]
     verdict(
         5, "memory contract", ok and trend,
-        f"peak within bound (min headroom {worst_margin} blocks); "
+        "peak exactly k live blocks for k=2..7, b=1,4,16; "
         f"m=192 peak bytes {peaks[2]} > {peaks[4]} > {peaks[8]}",
     )
 
@@ -201,7 +200,7 @@ def test_criterion_08_kernel_system():
         spec = KernelSpec(inputs=rng(63).standard_normal((63, 3)), gamma=1.0, sigma=1.0)
         prov = make_kernel_provider(spec, k)
         sink = MemorySink(prov.layout)
-        invert_full(prov, sink)
+        invert_full(prov, sink, Workspace())
         z = sink.finalize()
         residual = np.abs(kernel_matrix(spec) @ z - np.eye(64)).max()
         worst = max(worst, residual)
@@ -233,11 +232,11 @@ def test_criterion_10_file_round_trip(tmp_path):
     from_file = tmp_path / "inv_file.brim"
     prov_f = make_file_provider(src, 3)
     with prov_f, BrimSink(from_file, prov_f.layout) as sink:
-        invert_full(prov_f, sink)
+        invert_full(prov_f, sink, Workspace())
     from_mem = tmp_path / "inv_mem.brim"
     prov_m = make_memory_provider(a, 3)
     with BrimSink(from_mem, prov_m.layout) as sink:
-        invert_full(prov_m, sink)
+        invert_full(prov_m, sink, Workspace())
     providers_identical = from_file.read_bytes() == from_mem.read_bytes()
     verdict(
         10, "file round trip", byte_identical and providers_identical,

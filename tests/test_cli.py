@@ -162,7 +162,7 @@ class TestInvert:
         assert code == 0
         assert info["block_inversions"] == 16 * 22
         assert info["block_multiplications"] == 16 * 42
-        assert info["peak_blocks"] <= 12
+        assert info["peak_blocks"] == 4
         assert info["peak_rss_mb"] > 0
 
     def test_jobs_flag_is_usage_error(self, capsys, tmp_path):
@@ -214,6 +214,7 @@ class TestInvertBlock:
         info = json.loads(out)
         assert code == 0
         assert info["block"] == [[pytest.approx(-0.1, abs=1e-15)]]
+        assert info["peak_blocks"] == info["bound"] == 2  # exactly k live blocks
         assert info["peak_rss_mb"] > 0
 
     def test_out_of_range_target(self, capsys, tmp_path):

@@ -62,12 +62,19 @@ class TestBlock:
         assert src[0, 0] == 1.0
         blk.release()
 
-    def test_normalizes_readonly_buffer(self, ws):
-        src = np.eye(2)
-        src.setflags(write=False)
-        blk = Block(src, ws)
-        blk.data[0, 1] = 3.0  # writable private copy
-        assert src[0, 1] == 0.0
+    def test_rejects_buffer_it_does_not_own(self, ws):
+        # A block writes through its buffer and frees it on release, so it
+        # takes no view, read-only, F-ordered or float32 array (and copies none).
+        readonly = np.eye(2)
+        readonly.setflags(write=False)
+        for buf in (readonly, np.eye(3)[:2, :2], np.asfortranarray(np.eye(2)),
+                    np.eye(2, dtype=np.float32)):
+            with pytest.raises(ValueError, match="of its own"):
+                Block(buf, ws)
+        assert ws.gauge.peak_blocks == 0
+        owned = np.eye(2)
+        blk = Block(owned, ws)
+        assert blk.data is owned
         blk.release()
 
 

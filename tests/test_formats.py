@@ -34,6 +34,11 @@ from bri.formats import HEADER_BYTES
 from conftest import rng
 
 
+def _rect(reader: BrimReader, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """The rectangle, read into a fresh destination."""
+    return reader.read_rect(r0, r1, c0, c1, np.empty((r1 - r0, c1 - c0)))
+
+
 class TestMatrixRoundTrip:
     def test_identity_round_trip(self, tmp_path):
         path = tmp_path / "i3.brim"
@@ -144,39 +149,72 @@ class TestBrimReader:
         write_matrix(path, a)
         with BrimReader(path) as reader:
             assert reader.m == 9
-            np.testing.assert_array_equal(reader.read_rect(0, 3, 0, 3), a[0:3, 0:3])
-            np.testing.assert_array_equal(reader.read_rect(2, 9, 4, 7), a[2:9, 4:7])
-            np.testing.assert_array_equal(reader.read_rect(8, 9, 8, 9), a[8:9, 8:9])
+            np.testing.assert_array_equal(_rect(reader, 0, 3, 0, 3), a[0:3, 0:3])
+            np.testing.assert_array_equal(_rect(reader, 2, 9, 4, 7), a[2:9, 4:7])
+            np.testing.assert_array_equal(_rect(reader, 8, 9, 8, 9), a[8:9, 8:9])
 
     def test_rect_is_owned_native_float64(self, tmp_path):
         path = tmp_path / "a.brim"
         write_matrix(path, np.eye(4))
+        dest = np.empty((2, 4))
         with BrimReader(path) as reader:
-            out = reader.read_rect(1, 3, 0, 4)
+            out = reader.read_rect(1, 3, 0, 4, dest)
+        assert out is dest  # filled in place and handed back, no copy
         assert out.dtype == np.float64 and out.dtype.isnative
-        assert out.flags["C_CONTIGUOUS"] and out.flags.writeable and out.flags.owndata
+        np.testing.assert_array_equal(out, np.eye(4)[1:3])
+
+    @pytest.mark.parametrize("limit", [None, -1], ids=["mapped", "per-row"])
+    def test_reads_into_a_column_slice(self, tmp_path, limit):
+        a = rng(9).standard_normal((9, 9))
+        path = tmp_path / "a.brim"
+        write_matrix(path, a)
+        dest = np.full((6, 7), -1.0)
+        window = dest[1:5, 2:6]  # rows 4 apart in memory, each contiguous
+        limit = formats._GAP_LIMIT if limit is None else limit
+        with (
+            BrimReader(path) as reader,
+            mock.patch.object(formats, "_GAP_LIMIT", limit),
+            mock.patch.object(mmap, "mmap", wraps=mmap.mmap) as map_spy,
+        ):
+            assert reader.read_rect(3, 7, 1, 5, window) is window
+            # A wrong shape, dtype or byte order, or rows that are not each
+            # contiguous, would be misread (rounded, half-filled as a short
+            # read, or a BufferError) by one branch or the other.
+            for bad in (window[:, :3], window.astype(np.float32), window.astype(">f8"), dest[1:5, ::2]):
+                with pytest.raises(DimensionMismatchError, match="destination"):
+                    reader.read_rect(3, 7, 1, 5, bad)
+        assert map_spy.call_count == (limit >= 0)
+        np.testing.assert_array_equal(window, a[3:7, 1:5])
+        window[...] = -1.0
+        assert (dest == -1.0).all()  # nothing outside the window was written
 
     def test_truncated_file_raises_short_read(self, tmp_path):
         a = rng(4).standard_normal((6, 6))
         path = tmp_path / "a.brim"
         write_matrix(path, a)
+        dest = np.zeros((4, 8))  # each read fills a column slice of it
         with BrimReader(path) as reader:
             # Cut the file inside row 4, after the reader validated its size.
             os.truncate(path, HEADER_BYTES + (4 * 6 + 2) * 8)
-            np.testing.assert_array_equal(reader.read_rect(0, 4, 0, 6), a[0:4])
+            reader.read_rect(0, 4, 0, 6, dest[:, 1:7])
+            np.testing.assert_array_equal(dest[:, 1:7], a[0:4])
             # Rows 3..5 would be one mapping; the error names row 4, the first past the end.
             with pytest.raises(FormatError, match=f"short read at byte {HEADER_BYTES + 4 * 6 * 8}:"):
-                reader.read_rect(3, 6, 0, 6)
+                reader.read_rect(3, 6, 0, 6, dest[:3, 2:8])
+            np.testing.assert_array_equal(dest[0, 2:8], a[3])  # rows before the cut are in
 
     def test_truncated_file_per_row_names_the_short_row(self, tmp_path):
         a = rng(4).standard_normal((6, 6))
         path = tmp_path / "a.brim"
         write_matrix(path, a)
+        dest = np.zeros((4, 8))
         with BrimReader(path) as reader, mock.patch.object(formats, "_GAP_LIMIT", -1):
             os.truncate(path, HEADER_BYTES + (4 * 6 + 2) * 8)
-            np.testing.assert_array_equal(reader.read_rect(0, 4, 1, 5), a[0:4, 1:5])
+            reader.read_rect(0, 4, 1, 5, dest[:, 2:6])
+            np.testing.assert_array_equal(dest[:, 2:6], a[0:4, 1:5])
             with pytest.raises(FormatError, match=f"short read at byte {HEADER_BYTES + 4 * 6 * 8}:"):
-                reader.read_rect(3, 6, 0, 6)
+                reader.read_rect(3, 6, 0, 6, dest[:3, 1:7])
+            np.testing.assert_array_equal(dest[0, 1:7], a[3])
 
     def test_concurrent_reads_match_dense_slices(self, tmp_path):
         m = 40
@@ -194,7 +232,7 @@ class TestBrimReader:
             bad = []
             for j in range(len(rects)):
                 r0, r1, c0, c1 = rects[(j + offset) % len(rects)]
-                if not np.array_equal(reader.read_rect(r0, r1, c0, c1), a[r0:r1, c0:c1]):
+                if not np.array_equal(_rect(reader, r0, r1, c0, c1), a[r0:r1, c0:c1]):
                     bad.append((r0, r1, c0, c1))
             return bad
 
@@ -246,7 +284,7 @@ class TestReadRectGroups:
         # A negative limit sends every gap, even 0, down the one-read-per-row side.
         limit = -1 if per_row else formats._GAP_LIMIT
         with BrimReader(path) as reader, mock.patch.object(formats, "_GAP_LIMIT", limit):
-            np.testing.assert_array_equal(reader.read_rect(r0, r1, c0, c1), a[r0:r1, c0:c1])
+            np.testing.assert_array_equal(_rect(reader, r0, r1, c0, c1), a[r0:r1, c0:c1])
 
     @pytest.mark.parametrize(
         "limit, cols, maps, reads",
@@ -265,7 +303,7 @@ class TestReadRectGroups:
             mock.patch.object(mmap, "mmap", wraps=mmap.mmap) as map_spy,
             mock.patch.object(os, "preadv", wraps=os.preadv) as read_spy,
         ):
-            np.testing.assert_array_equal(reader.read_rect(0, 600, 0, cols), a[:, :cols])
+            np.testing.assert_array_equal(_rect(reader, 0, 600, 0, cols), a[:, :cols])
         assert (map_spy.call_count, read_spy.call_count) == (maps, reads)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
@@ -279,11 +317,11 @@ class TestReadRectGroups:
                 return any(line.rstrip().endswith(str(path)) for line in fh)
 
         with BrimReader(path) as reader:
-            np.testing.assert_array_equal(reader.read_rect(1, 5, 0, 6), a[1:5])
+            np.testing.assert_array_equal(_rect(reader, 1, 5, 0, 6), a[1:5])
             assert not mapped()
             os.truncate(path, HEADER_BYTES + (4 * 6 + 2) * 8)
             with pytest.raises(FormatError, match="short read"):
-                reader.read_rect(3, 6, 0, 6)
+                _rect(reader, 3, 6, 0, 6)
             assert not mapped()
 
 

@@ -10,6 +10,7 @@ from bri import (
     GaugeUnderflowError,
     MemoryGauge,
     OpCounters,
+    Workspace,
     invert_full,
     make_memory_provider,
     predicted_counts,
@@ -71,11 +72,12 @@ class TestBenchRecord:
         with open(path, newline="") as fh:
             header, bri_row, lu_row = list(csv.reader(fh))
         provider = make_memory_provider(shifted(16, 0), 4)
-        summary = invert_full(provider, MemorySink(provider.layout))
+        ws = Workspace()
+        invert_full(provider, MemorySink(provider.layout), ws)
         rec = dict(zip(header, bri_row))
         assert len(bri_row) == len(lu_row) == len(header)
         assert bri_row[:3] == ["bri", "16", "4"]
-        assert int(rec["peak_bytes"]) == summary.peak_bytes
-        assert int(rec["n_block_inv"]) == summary.counters.block_inversions
-        assert int(rec["n_block_mul"]) == summary.counters.block_multiplications
+        assert int(rec["peak_bytes"]) == ws.gauge.peak_blocks * 8 * 4 * 4
+        assert int(rec["n_block_inv"]) == ws.counters.block_inversions
+        assert int(rec["n_block_mul"]) == ws.counters.block_multiplications
         assert rec["seed"] == "42"

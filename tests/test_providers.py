@@ -104,15 +104,14 @@ class TestFileProvider:
         calls = []
         read_rect = BrimReader.read_rect
 
-        def counted(self, *rect):
-            calls.append(rect)
-            return read_rect(self, *rect)
+        def counted(self, r0, r1, c0, c1, out):
+            calls.append((r1 - r0, c1 - c0, out.shape))
+            return read_rect(self, r0, r1, c0, c1, out)
 
         monkeypatch.setattr(BrimReader, "read_rect", counted)
         with make_file_provider(path, 4) as prov:
             invert_block(prov, 3, 2, ws).release()
-        assert len(calls) == 64
-        assert all(r1 - r0 == c1 - c0 == 4 for r0, r1, c0, c1 in calls)
+        assert calls == [(4, 4, (4, 4))] * 64
 
     def test_provider_closes_its_file(self, tmp_path, ws):
         path = tmp_path / "a.brim"
