@@ -11,7 +11,8 @@ Design notes
   than copy it. Operations are free functions matching the operand
   vocabulary: ``multiply``, ``subtract``, ``invert_dense``. Each writes its
   result over its first operand's buffer and returns that very block, so
-  only a provider's fetch allocates one (and a padded run's finisher).
+  only a provider's fetch allocates one. A padded run's finisher, too,
+  writes its target over the buffer of the final inverse.
 * ``invert_dense`` inverts in place. LAPACK's ``getrf`` factors the
   transposed view, which is Fortran-contiguous for a C-ordered buffer,
   and ``getri`` overwrites the factors with the inverse of that
@@ -78,51 +79,21 @@ _EPS = float(np.finfo(np.float64).eps)
 def _extension(name: str, directory: str):
     """The compiled module ``name`` loaded from ``directory`` and registered in
     sys.modules, or the module already registered under ``name``.
-
-    Raises FileNotFoundError when ``directory`` holds no file for it.
     """
     if name in sys.modules:
         return sys.modules[name]
-    stem = name.rpartition(".")[2]
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(directory, stem + suffix)
-        if os.path.isfile(path):
-            break
-    else:
-        raise FileNotFoundError(f"no extension module {stem} in {directory}")
-    loader = importlib.machinery.ExtensionFileLoader(name, path)
-    spec = importlib.util.spec_from_loader(name, loader, origin=path)
+    spec = importlib.machinery.PathFinder.find_spec(name, [directory])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
-    loader.exec_module(module)
+    spec.loader.exec_module(module)
     return module
 
 
-def _blas_lapack(linalg_dir: str | None):
-    """scipy's f2py BLAS and LAPACK modules, loaded from ``linalg_dir``
-    without importing ``scipy.linalg``; the public ``scipy.linalg.blas`` and
-    ``lapack`` when ``linalg_dir`` is None or lacks either file.
-    """
-    if linalg_dir is not None:
-        try:
-            return (
-                _extension("scipy.linalg._fblas", linalg_dir),
-                _extension("scipy.linalg._flapack", linalg_dir),
-            )
-        except FileNotFoundError:
-            pass
-    from scipy.linalg import blas, lapack
-
-    return blas, lapack
-
-
-def _scipy_linalg_dir() -> str | None:
-    """scipy's ``linalg`` directory, found without importing scipy."""
-    spec = importlib.util.find_spec("scipy")
-    return os.path.join(spec.submodule_search_locations[0], "linalg") if spec else None
-
-
-blas, lapack = _blas_lapack(_scipy_linalg_dir())
+# scipy's f2py BLAS and LAPACK modules, from scipy's linalg directory (found
+# without importing scipy) and without importing the scipy.linalg package.
+_LINALG = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
+blas = _extension("scipy.linalg._fblas", _LINALG)
+lapack = _extension("scipy.linalg._flapack", _LINALG)
 
 
 class Workspace:

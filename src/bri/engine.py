@@ -196,20 +196,18 @@ def invert_block(
     Runs the reduction on the view the provider selects for this target
     (normally the block-permuted view that moves the target into leading
     position; padded off-diagonal targets get an element-shifted window),
-    inverts the root reduction, and applies the view's finishing map if
-    any. Every block it allocates belongs to ``ws``. A singular final
-    reduction raises SingularBlockError; singular interior pivots raise
-    SingularPivotError (see reduce_frame).
+    inverts the root reduction in place, and, on a shifted window, has the
+    view's finisher write the target over that inverse. The block returned
+    is the one the final inversion produced; every block it allocates
+    belongs to ``ws``. A singular final reduction raises
+    SingularBlockError; singular interior pivots raise SingularPivotError
+    (see reduce_frame).
     """
-    lay = provider.layout
     view, finish = provider.run_view(alpha, beta)
-    red = reduce_frame(view, root_frame(lay.k), ws)
-    win = invert_dense(red)
-    if finish is None:
-        return win
-    data = finish(win.data)
-    win.release()
-    return Block(data, ws)
+    out = invert_dense(reduce_frame(view, root_frame(provider.layout.k), ws))
+    if finish is not None:
+        finish(out.data)
+    return out
 
 
 def invert_full(provider: BlockProvider, sink, ws: Workspace) -> None:

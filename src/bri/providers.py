@@ -28,11 +28,11 @@ block sets differ at all, they differ only over blocks 3..k-1. run_view
 therefore switches, whenever padding is present, to element maps that
 shift the window: the b-wide row and column strips carrying the target's
 real entries lead, all padding indices sit at shared positions inside
-blocks 2 and k of both maps, and a finishing step places the computed
-window into the padded output block. Pivots then stay generically
-nonsingular and the result is unchanged. Padding wider than two blocks
-cannot be tucked away like this, so k >= 5 partitions reject layouts
-with l > 2b.
+blocks 2 and k of both maps, and a finishing step writes the padded
+target block over the computed window's own buffer. Pivots then stay
+generically nonsingular and the result is unchanged. Padding wider than
+two blocks cannot be tucked away like this, so k >= 5 partitions reject
+layouts with l > 2b.
 
 Fetches are deterministic: repeated fetches of the same index pair return
 bit-identical buffers.
@@ -311,8 +311,9 @@ class BlockProvider:
         Returns (provider, finish). finish is None when the run's output is
         the target block as-is: the plain exchange of block row 1 with beta
         and block column 1 with alpha, whose inverse holds block (alpha,
-        beta) of this provider's inverse at (1, 1). Otherwise finish maps
-        the computed leading window to the target block.
+        beta) of this provider's inverse at (1, 1). Otherwise finish writes
+        the target block over the computed leading window, in place, and
+        returns the array it was given.
         """
         lay = self.layout
         if not (1 <= alpha <= lay.k and 1 <= beta <= lay.k):
@@ -339,25 +340,25 @@ class BlockProvider:
         # then singular for every M. Run over the element-shifted window
         # instead; view rows index the *columns* of the inverse, so the
         # leading row window carries beta's span.
-        a0 = _real_window(lay, alpha)
-        b0 = _real_window(lay, beta)
         rmap, cmap = _run_maps(lay, alpha, beta)
         view = BlockProvider(self.source, lay, self._rmap[rmap], self._cmap[cmap])
+        # The window is inverse rows [a0, a0+b) x cols [b0, b0+b) (see
+        # _real_window); the target's real entries are its trailing corner.
+        # Outside them the target block is the identity's padding corner.
+        r = min(lay.b, max(0, alpha * lay.b - lay.m))
+        c = min(lay.b, max(0, beta * lay.b - lay.m))
+        h, w = lay.b - r, lay.b - c
 
         def finish(win: np.ndarray) -> np.ndarray:
-            # win = inverse rows [a0, a0+b) x cols [b0, b0+b); the target
-            # block's real entries lie inside it. Outside the real
-            # region the inverse is the identity's padding corner.
-            out = np.zeros((lay.b, lay.b))
-            rg = np.arange((alpha - 1) * lay.b, alpha * lay.b)
-            cg = np.arange((beta - 1) * lay.b, beta * lay.b)
-            rr, cc = rg < lay.m, cg < lay.m
-            if rr.any() and cc.any():
-                out[np.ix_(rr, cc)] = win[np.ix_(rg[rr] - a0, cg[cc] - b0)]
+            # Write the target over the window, one row at a time: a single
+            # overlapping 2-D assignment would copy its whole source first.
+            for i in range(h):
+                win[i, :w] = win[i + r, c:]
+            win[h:] = 0.0
+            win[:h, w:] = 0.0
             if alpha == beta:
-                pad = np.flatnonzero(~rr)
-                out[pad, pad] = 1.0
-            return out
+                np.fill_diagonal(win[h:, h:], 1.0)
+            return win
 
         return view, finish
 

@@ -22,7 +22,6 @@ from bri import (
     multiply,
     subtract,
 )
-from bri import core
 from conftest import rng
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
@@ -267,18 +266,3 @@ class TestBlasLapackLoader:
         # OpenBLAS runs every call whichever package is imported first.
         out = _fresh_python("import json\n" + first + _SAME_WRAPPERS)
         assert out == {"dgemm": True, "dgetrf": True, "dgetri": True}
-
-    def test_falls_back_to_scipy_linalg_without_extension_files(self, tmp_path, monkeypatch):
-        import scipy.linalg
-
-        for name in ("scipy.linalg._fblas", "scipy.linalg._flapack"):
-            monkeypatch.delitem(sys.modules, name)
-        blas, lapack = core._blas_lapack(str(tmp_path))
-        assert blas is scipy.linalg.blas and lapack is scipy.linalg.lapack
-        assert "scipy.linalg._fblas" not in sys.modules
-        a = rng(5).standard_normal((6, 6)) + 6 * np.eye(6)
-        np.testing.assert_allclose(blas.dgemm(1.0, a, a), a @ a, rtol=1e-12)
-        lu, piv, info = lapack.dgetrf(a)
-        inv, info = lapack.dgetri(lu, piv)
-        assert info == 0
-        np.testing.assert_allclose(inv, np.linalg.inv(a), rtol=0, atol=1e-13)

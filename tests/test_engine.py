@@ -382,16 +382,19 @@ class TestTracedPeak:
             gauge, peak = _traced(run)
             assert peak < (gauge + 1) * block, (peak / block, gauge)
 
-    # Padded layouts (l = 2) read strips of rows and columns; each is
-    # written into the one block buffer the fetch allocates.
-    @pytest.mark.parametrize("m, k", [(510, 4), (382, 6)])
+    # Padded layouts (l = 1 or 2) read strips of rows and columns; each is
+    # written into the one block buffer the fetch allocates, and the
+    # finisher writes the target over the final inverse's buffer. At k = 2
+    # the finish is the run's peak, so a finisher that allocated an output
+    # block of its own would put the run above the gauge + 1 bound.
+    @pytest.mark.parametrize("m, k", [(511, 2), (510, 4), (382, 6)])
     def test_padded_file_runs_within_one_block_of_the_gauge(self, tmp_path, m, k):
         path = tmp_path / "a.brim"
         write_matrix(path, shifted(m, 96))
         with make_file_provider(path, k) as prov:
             block = 8 * prov.layout.b**2
             _single(prov, k, 2)  # warm-up
-            for target in [(k, 2), (2, k), (k, k)]:
+            for target in [(k, 2), (2, k), (k, k), (1, k), (k, 1)]:
                 gauge, peak = _traced(lambda: _single(prov, *target))
                 assert gauge == k
                 assert peak < (gauge + 1) * block, (target, peak / block)

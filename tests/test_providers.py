@@ -296,6 +296,7 @@ class TestRunViewMaps:
             b0 = min((beta - 1) * 3, 7)
             np.testing.assert_allclose(win, inv[a0 : a0 + 3, b0 : b0 + 3], atol=1e-12)
             out = finish(win)
+            assert out is win  # written in place
             r0, c0 = (alpha - 1) * 3, (beta - 1) * 3
             want = np.zeros((3, 3))
             rr = min(3, 10 - r0)
