@@ -12,7 +12,7 @@ Design notes
   vocabulary: ``multiply``, ``subtract``, ``invert_dense``. Each writes its
   result over its first operand's buffer and returns that very block, so
   only a provider's fetch allocates one. A padded run's finisher, too,
-  writes its target over the buffer of the final inverse.
+  clears the padding of its target in the buffer of the final inverse.
 * ``invert_dense`` inverts in place. LAPACK's ``getrf`` factors the
   transposed view, which is Fortran-contiguous for a C-ordered buffer,
   and ``getri`` overwrites the factors with the inverse of that
@@ -116,7 +116,7 @@ class Workspace:
 
 
 class Block:
-    """One square float64 block plus its accounting hooks.
+    """One square float64 block of order >= 1 plus its accounting hooks.
 
     The block owns its buffer: a view or a read-only, F-ordered or non-float64
     array raises ValueError, and nothing is copied. The buffer registers with
@@ -128,8 +128,8 @@ class Block:
     __slots__ = ("data", "_ws")
 
     def __init__(self, buf: np.ndarray, ws: Workspace):
-        if buf.ndim != 2 or buf.shape[0] != buf.shape[1]:
-            raise DimensionMismatchError(f"block buffer must be square, got {buf.shape}")
+        if buf.ndim != 2 or buf.shape[0] != buf.shape[1] or buf.size == 0:
+            raise DimensionMismatchError(f"block must be square of order >= 1, got {buf.shape}")
         # Operations write through the buffer in place, and release frees it.
         f = buf.flags
         if not (buf.dtype == np.float64 and f.c_contiguous and f.writeable and f.owndata):
@@ -220,7 +220,7 @@ def invert_dense(x: Block) -> Block:
     block x's contents are unspecified (the caller still owns and releases x).
     """
     order = x.order
-    scale = float(np.maximum(x.data.max(), -x.data.min())) if order else 0.0
+    scale = float(np.maximum(x.data.max(), -x.data.min()))
     # Factor A^T in place through the F-contiguous transposed view.
     at = x.data.T
     lu, piv, info = lapack.dgetrf(at, overwrite_a=1)

@@ -194,14 +194,14 @@ def invert_block(
     """Block (alpha, beta), 1-based, of the inverse of the provided matrix.
 
     Runs the reduction on the view the provider selects for this target
-    (normally the block-permuted view that moves the target into leading
-    position; padded off-diagonal targets get an element-shifted window),
-    inverts the root reduction in place, and, on a shifted window, has the
-    view's finisher write the target over that inverse. The block returned
-    is the one the final inversion produced; every block it allocates
-    belongs to ``ws``. A singular final reduction raises
-    SingularBlockError; singular interior pivots raise SingularPivotError
-    (see reduce_frame).
+    (the block exchange that moves the target into leading position, or
+    on a padded layout an element-shifted window that starts at the
+    target's real entries) and inverts the root reduction in place; when
+    the target block holds padding, the view's finisher then clears the
+    rest. The block returned is the one the final inversion produced;
+    every block it allocates belongs to ``ws``. A singular final
+    reduction raises SingularBlockError; singular interior pivots raise
+    SingularPivotError (see reduce_frame).
     """
     view, finish = provider.run_view(alpha, beta)
     out = invert_dense(reduce_frame(view, root_frame(provider.layout.k), ws))

@@ -62,6 +62,8 @@ def _check_header(fh, origin: str) -> int:
         raise FormatError(f"{origin}: unsupported version {version}{note}")
     if dtype_tag != DTYPE_F64:
         raise FormatError(f"{origin}: unsupported dtype tag {dtype_tag}, expected {DTYPE_F64}")
+    if m < 1:
+        raise FormatError(f"{origin}: order {m}, expected at least 1")
     expected = HEADER_BYTES + 8 * m * m
     actual = os.fstat(fh.fileno()).st_size
     if actual != expected:
@@ -77,10 +79,10 @@ def read_header(path) -> int:
 
 
 def write_matrix(path, matrix) -> None:
-    """Write a dense square matrix as a BRIM file."""
+    """Write a dense square matrix of order >= 1 as a BRIM file."""
     a = np.ascontiguousarray(matrix, dtype="<f8")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"matrix must be square, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionMismatchError(f"matrix must be square of order >= 1, got shape {a.shape}")
     with open(os.fspath(path), "wb") as fh:
         fh.write(_pack_header(a.shape[0]))
         a.tofile(fh)

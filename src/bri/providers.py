@@ -26,13 +26,14 @@ reduction, and those pivots become exactly singular no matter what M is
 reduction tree covers the anchor block and, when its row and column
 block sets differ at all, they differ only over blocks 3..k-1. run_view
 therefore switches, whenever padding is present, to element maps that
-shift the window: the b-wide row and column strips carrying the target's
-real entries lead, all padding indices sit at shared positions inside
-blocks 2 and k of both maps, and a finishing step writes the padded
-target block over the computed window's own buffer. Pivots then stay
-generically nonsingular and the result is unchanged. Padding wider than
-two blocks cannot be tucked away like this, so k >= 5 partitions reject
-layouts with l > 2b.
+shift the window: each map leads with b real indices starting with the
+target's real span, so the target's real entries sit at the origin of the
+computed window, and all padding indices sit at shared positions inside
+blocks 2 and k of both maps. A target block holding padding gets a
+finishing step that clears the window past its real entries and restores
+the identity's diagonal. Pivots then stay generically nonsingular and the
+result is unchanged. Padding wider than two blocks cannot be tucked away
+like this, so k >= 5 partitions reject layouts with l > 2b.
 
 Fetches are deterministic: repeated fetches of the same index pair return
 bit-identical buffers.
@@ -183,10 +184,10 @@ class _KernelSource:
             gram[np.flatnonzero(on_diag), di[on_diag] - j0] += 1.0 / spec.gamma
 
 
-def _real_window(lay: BlockLayout, j: int) -> int:
-    """Start of b consecutive real indices covering block j's real span."""
-    lo = (j - 1) * lay.b
-    return min(lo, lay.m - lay.b)
+def _real_window(lay: BlockLayout, j: int) -> np.ndarray:
+    """b consecutive real indices covering block j's real span, that span first."""
+    lo, hi = min((j - 1) * lay.b, lay.m), min(j * lay.b, lay.m)
+    return np.concatenate([np.arange(lo, hi), np.arange(hi - lay.b, lo)])
 
 
 def _swap(lay: BlockLayout, t: int) -> np.ndarray:
@@ -199,19 +200,20 @@ def _swap(lay: BlockLayout, t: int) -> np.ndarray:
 def _run_maps(lay: BlockLayout, alpha: int, beta: int) -> tuple[np.ndarray, np.ndarray]:
     """Element row and column maps for one padded-target run.
 
-    Both maps lead with the b-wide real window carrying the target's
-    entries (beta's for rows, alpha's for cols), park up to b padding
-    indices at the tail of the last block and any overflow at the tail
-    of the anchor block, at identical positions in both maps, and fill
-    the remaining slots with the leftover real indices, shared middle
-    first so the two maps agree wherever they can.
+    Both maps lead with _real_window's b indices (beta's for rows, alpha's
+    for cols), so the target's real entries sit at the origin of the
+    computed window. They park up to b padding indices at the tail of the
+    last block and any overflow at the tail of the anchor block, at
+    identical positions in both maps, and fill the remaining slots with
+    the leftover real indices, shared middle first so the two maps agree
+    wherever they can.
     """
     b, m, n, l = lay.b, lay.m, lay.n, lay.l
-    a0 = _real_window(lay, alpha)
-    b0 = _real_window(lay, beta)
+    lead_a = _real_window(lay, alpha)
+    lead_b = _real_window(lay, beta)
     real = np.arange(m)
-    in_a = (real >= a0) & (real < a0 + b)
-    in_b = (real >= b0) & (real < b0 + b)
+    in_a = np.isin(real, lead_a)
+    in_b = np.isin(real, lead_b)
     common = real[~in_a & ~in_b]
     pads = np.arange(m, n)
     over = max(0, l - b)  # padding beyond the last block's tail capacity
@@ -220,8 +222,8 @@ def _run_maps(lay: BlockLayout, alpha: int, beta: int) -> tuple[np.ndarray, np.n
         head, mid = rest[: b - over], rest[b - over :]
         return np.concatenate([lead, head, pads[:over], mid, pads[over:]])
 
-    rmap = weave(real[in_b], np.concatenate([common, real[in_a & ~in_b]]))
-    cmap = weave(real[in_a], np.concatenate([common, real[in_b & ~in_a]]))
+    rmap = weave(lead_b, np.concatenate([common, real[in_a & ~in_b]]))
+    cmap = weave(lead_a, np.concatenate([common, real[in_b & ~in_a]]))
     return rmap, cmap
 
 
@@ -308,12 +310,13 @@ class BlockProvider:
     def run_view(self, alpha: int, beta: int):
         """View to reduce for target block (alpha, beta), plus a finisher.
 
-        Returns (provider, finish). finish is None when the run's output is
-        the target block as-is: the plain exchange of block row 1 with beta
-        and block column 1 with alpha, whose inverse holds block (alpha,
-        beta) of this provider's inverse at (1, 1). Otherwise finish writes
-        the target block over the computed leading window, in place, and
-        returns the array it was given.
+        Returns (provider, finish). The view's leading inverse block holds
+        the target's real entries at its origin: by the plain exchange of
+        block row 1 with beta and block column 1 with alpha, or on a padded
+        layout by an element-shifted window. finish is None when the target
+        block holds no padding; otherwise it zeroes the window past the
+        target's real rows and columns, sets the padding diagonal when
+        alpha == beta, and returns the array it was given.
         """
         lay = self.layout
         if not (1 <= alpha <= lay.k and 1 <= beta <= lay.k):
@@ -336,26 +339,20 @@ class BlockProvider:
                 f"with k <= 4 or one that divides the order more evenly"
             )
         # A block-level exchange would strand padding columns away from
-        # their rows (or vice versa) inside interior pivots, which are
-        # then singular for every M. Run over the element-shifted window
-        # instead; view rows index the *columns* of the inverse, so the
+        # their rows (or vice versa) inside interior pivots, singular for
+        # every M. View rows index the *columns* of the inverse, so the
         # leading row window carries beta's span.
         rmap, cmap = _run_maps(lay, alpha, beta)
         view = BlockProvider(self.source, lay, self._rmap[rmap], self._cmap[cmap])
-        # The window is inverse rows [a0, a0+b) x cols [b0, b0+b) (see
-        # _real_window); the target's real entries are its trailing corner.
-        # Outside them the target block is the identity's padding corner.
-        r = min(lay.b, max(0, alpha * lay.b - lay.m))
-        c = min(lay.b, max(0, beta * lay.b - lay.m))
-        h, w = lay.b - r, lay.b - c
+        # The window's leading h rows and w columns are the target's real entries.
+        h = min(lay.b, max(0, lay.m - (alpha - 1) * lay.b))
+        w = min(lay.b, max(0, lay.m - (beta - 1) * lay.b))
+        if h == w == lay.b:
+            return view, None
 
         def finish(win: np.ndarray) -> np.ndarray:
-            # Write the target over the window, one row at a time: a single
-            # overlapping 2-D assignment would copy its whole source first.
-            for i in range(h):
-                win[i, :w] = win[i + r, c:]
             win[h:] = 0.0
-            win[:h, w:] = 0.0
+            win[:, w:] = 0.0
             if alpha == beta:
                 np.fill_diagonal(win[h:, h:], 1.0)
             return win

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import hilbert
 
-from bri import SingularMatrixError, lu_invert_full
+from bri import DimensionMismatchError, SingularMatrixError, lu_invert_full
 from conftest import shifted
 
 # exact rational inverse of the 4x4 Hilbert matrix (all entries integer)
@@ -43,6 +43,10 @@ class TestLuInvertFull:
         with pytest.raises(SingularMatrixError):
             lu_invert_full(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
+
+    def test_order_zero_is_refused(self):
+        with pytest.raises(DimensionMismatchError, match="order >= 1"):
+            lu_invert_full(np.empty((0, 0)))
 
     def test_nan_raises(self):
         a = np.eye(3)

@@ -424,6 +424,23 @@ class TestExitCodes:
         assert "released twice" in err
 
 
+class TestOrderZero:
+    # A well-formed header of order 0 and no payload: refused as bad input
+    # before any LAPACK call, not failed inside one with a traceback.
+    @pytest.mark.parametrize(
+        "argv",
+        [["invert", "--method", "lu", "--out", "{out}"], ["verify", "--k", "2"]],
+        ids=["invert-lu", "verify"],
+    )
+    def test_order_zero_input_is_refused(self, capsys, tmp_path, argv):
+        src = tmp_path / "empty.brim"
+        src.write_bytes(bri.formats._pack_header(0))
+        argv = [arg.format(out=tmp_path / "x.brim") for arg in argv] + ["--in", str(src)]
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "order 0" in err and "Traceback" not in err
+
+
 class TestInputFileClosed:
     @pytest.mark.parametrize(
         "argv, want",

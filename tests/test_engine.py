@@ -384,8 +384,8 @@ class TestTracedPeak:
 
     # Padded layouts (l = 1 or 2) read strips of rows and columns; each is
     # written into the one block buffer the fetch allocates, and the
-    # finisher writes the target over the final inverse's buffer. At k = 2
-    # the finish is the run's peak, so a finisher that allocated an output
+    # finisher clears the final inverse's padding in place. At k = 2 the
+    # finish is the run's peak, so a finisher that allocated an output
     # block of its own would put the run above the gauge + 1 bound.
     @pytest.mark.parametrize("m, k", [(511, 2), (510, 4), (382, 6)])
     def test_padded_file_runs_within_one_block_of_the_gauge(self, tmp_path, m, k):

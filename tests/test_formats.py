@@ -75,6 +75,11 @@ class TestMatrixRoundTrip:
         with pytest.raises(DimensionMismatchError):
             write_matrix(tmp_path / "x.brim", np.zeros((2, 3)))
 
+    def test_rejects_order_zero(self, tmp_path):
+        with pytest.raises(DimensionMismatchError, match="order >= 1"):
+            write_matrix(tmp_path / "x.brim", np.empty((0, 0)))
+        assert not (tmp_path / "x.brim").exists()
+
 
 class TestHeaderValidation:
     def test_bad_magic(self, tmp_path):
@@ -98,6 +103,12 @@ class TestHeaderValidation:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])  # drop one element
         with pytest.raises(FormatError, match="expected"):
+            read_header(path)
+
+    def test_order_zero_is_refused(self, tmp_path):
+        path = tmp_path / "empty.brim"
+        path.write_bytes(formats._pack_header(0))
+        with pytest.raises(FormatError, match="order 0"):
             read_header(path)
 
     def test_read_header_returns_the_order(self, tmp_path):

@@ -268,15 +268,20 @@ class TestRunViewMaps:
                 assert blocks <= {2, k}
 
     def test_window_rows_cover_target_block(self):
-        lay = BlockLayout.for_order(10, 4)
-        for alpha in range(1, 5):
-            for beta in range(1, 5):
-                rmap, cmap = _run_maps(lay, alpha, beta)
-                # leading row strip carries beta's span, columns alpha's
-                assert rmap[0] == min((beta - 1) * lay.b, lay.m - lay.b)
-                assert cmap[0] == min((alpha - 1) * lay.b, lay.m - lay.b)
-                np.testing.assert_array_equal(np.diff(rmap[: lay.b]), 1)
-                np.testing.assert_array_equal(np.diff(cmap[: lay.b]), 1)
+        # Each map's first b entries are b consecutive real indices that
+        # start with the target's real span: beta's for rows, alpha's for cols.
+        for m, k in ((10, 4), (13, 4), (5, 4), (23, 5)):
+            lay = BlockLayout.for_order(m, k)
+            b = lay.b
+            for alpha in range(1, k + 1):
+                for beta in range(1, k + 1):
+                    rmap, cmap = _run_maps(lay, alpha, beta)
+                    for lead, t in ((rmap[:b], beta), (cmap[:b], alpha)):
+                        span = np.arange((t - 1) * b, min(t * b, m))
+                        np.testing.assert_array_equal(lead[: span.size], span)
+                        lo = lead.min()
+                        np.testing.assert_array_equal(np.sort(lead), np.arange(lo, lo + b))
+                        assert lo + b <= m
 
     def test_shifted_view_window_inverts_to_target(self, ws):
         a = shifted(10, 53)
@@ -292,9 +297,11 @@ class TestRunViewMaps:
             np.testing.assert_array_equal(dense_view, gamma[np.ix_(rmap, cmap)])
             # view rows index inverse columns, so the window transposes maps
             win = np.linalg.inv(dense_view)[:3, :3]
-            a0 = min((alpha - 1) * 3, 7)
-            b0 = min((beta - 1) * 3, 7)
-            np.testing.assert_allclose(win, inv[a0 : a0 + 3, b0 : b0 + 3], atol=1e-12)
+            np.testing.assert_allclose(win, inv[np.ix_(cmap[:3], rmap[:3])], atol=1e-12)
+            if (alpha, beta) == (2, 3):  # all real: the window is the target
+                assert finish is None
+                np.testing.assert_allclose(win, inv[3:6, 6:9], atol=1e-12)
+                continue
             out = finish(win)
             assert out is win  # written in place
             r0, c0 = (alpha - 1) * 3, (beta - 1) * 3
@@ -306,6 +313,22 @@ class TestRunViewMaps:
                 for t in range(rr, 3):
                     want[t, t] = 1.0
             np.testing.assert_allclose(out, want, atol=1e-12)
+
+    @pytest.mark.parametrize("m, k", [(10, 4), (13, 4), (5, 4), (23, 5), (382, 6)])
+    def test_only_targets_holding_padding_are_finished(self, ws, m, k):
+        a = shifted(m, 59)
+        prov = make_memory_provider(a, k)
+        b = prov.layout.b
+        inv = np.eye(prov.layout.n)
+        inv[:m, :m] = np.linalg.inv(a)
+        for alpha in range(1, k + 1):
+            for beta in range(1, k + 1):
+                _, finish = prov.run_view(alpha, beta)
+                assert (finish is None) == (alpha * b <= m and beta * b <= m)
+                blk = invert_block(prov, alpha, beta, ws)
+                want = inv[(alpha - 1) * b : alpha * b, (beta - 1) * b : beta * b]
+                np.testing.assert_allclose(blk.data, want, atol=1e-9)
+                blk.release()
 
     def test_unpadded_run_view_keeps_plain_permutation(self):
         a = shifted(8, 54)
