@@ -36,13 +36,10 @@ class SingularBlockError(BriError):
 
     exit_code = 2
 
-    def __init__(self, pivot_index: int, order: int | None = None):
+    def __init__(self, pivot_index: int, order: int):
         self.pivot_index = int(pivot_index)
         self.order = order
-        msg = f"singular block: pivot {self.pivot_index} below threshold"
-        if order is not None:
-            msg += f" (order {order})"
-        super().__init__(msg)
+        super().__init__(f"singular block: pivot {self.pivot_index} below threshold (order {order})")
 
 
 class SingularMatrixError(BriError):

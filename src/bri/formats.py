@@ -88,37 +88,24 @@ def write_matrix(path, matrix) -> None:
         a.tofile(fh)
 
 
-def read_matrix(path) -> np.ndarray:
-    """Read a whole BRIM file into an m-by-m float64 array."""
-    path = os.fspath(path)
-    with open(path, "rb") as fh:
-        m = _check_header(fh, path)
-        flat = np.fromfile(fh, dtype="<f8", count=m * m, offset=HEADER_BYTES)
-    if flat.size != m * m:
-        raise FormatError(f"{path}: payload shorter than advertised order {m}")
-    return flat.astype(np.float64, copy=False).reshape(m, m)
-
-
-# Row segments at most this many bytes apart are copied out of one mapping; wider
-# gaps are read row by row. RSS sets the limit, not time: a mapping faults in its
-# whole span, cols*8 + gap bytes per row (1.8 MiB for 192x192 at 8 KiB, 24 MiB at
-# 128 KiB), though at cols=192 it beat per-row preadv (43-57 vs 109-130 us) to 128 KiB.
-_GAP_LIMIT = 8192
+# Bytes of the file one mapping may span, so a read adds at most this plus one
+# page of mapped file pages to RSS (a longer row segment is mapped alone). Memory,
+# not time, sets it: 2 MiB holds 192 rows of a 9.5 KiB stride (1.8 MiB), so a
+# b=192 block of an m=768 file (a 1.2 MB span) is one mapping.
+_SPAN_LIMIT = 2 << 20
 
 
 class BrimReader:
     """Random-access rectangle reads from a BRIM file (POSIX only).
 
-    When row segments lie at most 8 KiB apart in the file, a rectangle is
-    copied out of one read-only mapping of its row span, closed before
-    ``read_rect`` returns; while mapped, its page-cache pages count toward
-    RSS, so a read raises RSS by at most rows*m*8 bytes. A wider gap gets
-    one ``os.preadv`` per row, straight into the caller's destination,
-    which is byte-swapped in place on big-endian hosts. Nothing else is
-    buffered and the file offset never moves, so concurrent callers need no
-    lock. The file must not shrink while a reader holds it: a read names
-    the first row segment past its end in a ``FormatError``, but a shrink
-    between that size check and the copy raises ``SIGBUS``.
+    A rectangle is copied out of read-only mappings of consecutive runs of
+    its rows, each spanning at most ``_SPAN_LIMIT`` bytes of the file (one
+    row segment when a row's stride is longer) and closed before the next
+    opens. Nothing else is buffered and the file offset never moves, so
+    concurrent callers need no lock. The file must not shrink while a
+    reader holds it: a read fills the rows inside the file, then names the
+    first row segment past its end in a ``FormatError``; a shrink between
+    that size check and the copy raises ``SIGBUS``.
     """
 
     def __init__(self, path):
@@ -137,30 +124,31 @@ class BrimReader:
             raise IndexOutOfRangeError(f"rectangle [{r0}:{r1}, {c0}:{c1}] outside order {m}")
         if out.shape != (r1 - r0, c1 - c0) or out.dtype != np.float64 or not out[:1].flags.c_contiguous:
             raise DimensionMismatchError(f"destination {out.dtype}{out.shape} for [{r0}:{r1}, {c0}:{c1}]")
-        fd, stride, row_bytes = self._fh.fileno(), m * 8, (c1 - c0) * 8
-        offset = start = HEADER_BYTES + (r0 * m + c0) * 8
-        end = start + (r1 - r0 - 1) * stride + row_bytes
+        if out.size:  # an empty rectangle has no bytes to map
+            self._copy(HEADER_BYTES + (r0 * m + c0) * 8, out)
+        return out
+
+    def _copy(self, offset: int, out: np.ndarray) -> None:
+        """Copy into ``out`` the row segments one stride apart from byte ``offset`` on."""
+        fd, stride, row_bytes = self._fh.fileno(), self.m * 8, out.shape[1] * 8
+        per_map = max(1, _SPAN_LIMIT // stride)
         try:
-            # An empty rectangle has no span to map. A file cut short is read
-            # row by row, so the error names the first row past its end.
-            if out.size == 0 or stride - row_bytes > _GAP_LIMIT or os.fstat(fd).st_size < end:
-                for row in out:
-                    got = os.preadv(fd, [row], offset)
-                    if got != row_bytes:
-                        raise FormatError(f"{self.path}: short read at byte {offset}: "
-                                          f"expected {row_bytes} bytes, got {got}")
-                    offset += stride
-                if not np.dtype("<f8").isnative:  # rows hold the file's bytes
-                    out.byteswap(inplace=True)
-            else:
-                base = start - start % mmap.ALLOCATIONGRANULARITY
+            size = os.fstat(fd).st_size
+            inside = min(len(out), max(0, (size - offset - row_bytes) // stride + 1))
+            for i in range(0, inside, per_map):
+                rows = out[i : min(i + per_map, inside)]
+                base = offset - offset % mmap.ALLOCATIONGRANULARITY
+                end = offset + (len(rows) - 1) * stride + row_bytes
                 with mmap.mmap(fd, end - base, prot=mmap.PROT_READ, offset=base) as mapped:
                     # The strided view is a temporary, released before the mapping
                     # closes; copyto converts its little-endian elements to native.
-                    np.copyto(out, np.ndarray(out.shape, "<f8", mapped, start - base, (stride, 8)))
+                    np.copyto(rows, np.ndarray(rows.shape, "<f8", mapped, offset - base, (stride, 8)))
+                offset += len(rows) * stride
+            if inside < len(out):  # offset is now the first row segment past the end
+                raise FormatError(f"{self.path}: short read at byte {offset}: "
+                                  f"expected {row_bytes} bytes, got {max(0, size - offset)}")
         except OSError as e:
             raise OSError(f"{self.path}: read failed at byte {offset}: {e}") from e
-        return out
 
     def close(self) -> None:
         self._fh.close()
@@ -170,6 +158,15 @@ class BrimReader:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+
+def read_matrix(path) -> np.ndarray:
+    """Read a whole BRIM file into an m-by-m float64 array, by ``BrimReader``'s copy loop."""
+    with BrimReader(path) as reader:
+        out = np.empty((reader.m, reader.m))
+        # Not read_rect, whose calls bribench/tracing.py counts as block fetches.
+        reader._copy(HEADER_BYTES, out)
+    return out
 
 
 class _BlockSink:

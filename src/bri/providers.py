@@ -47,7 +47,7 @@ import numpy as np
 
 from .core import Block, Workspace
 from .errors import BadPartitionError, DimensionMismatchError, IndexOutOfRangeError
-from .formats import BrimReader, read_header
+from .formats import BrimReader
 
 __all__ = [
     "BlockLayout",
@@ -382,9 +382,12 @@ def make_file_provider(path, k: int) -> BlockProvider:
 
     The file stays open until the provider is closed (``with provider:``).
     """
-    # Check k against the header before opening, so a rejected layout leaks no file.
-    layout = BlockLayout.for_order(read_header(path), k)
-    return BlockProvider(_FileSource(path), layout)
+    source = _FileSource(path)
+    try:
+        return BlockProvider(source, BlockLayout.for_order(source.m, k))
+    except BaseException:
+        source.reader.close()  # a rejected layout leaks no file
+        raise
 
 
 def make_kernel_provider(spec: KernelSpec, k: int) -> BlockProvider:

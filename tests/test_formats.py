@@ -174,27 +174,27 @@ class TestBrimReader:
         assert out.dtype == np.float64 and out.dtype.isnative
         np.testing.assert_array_equal(out, np.eye(4)[1:3])
 
-    @pytest.mark.parametrize("limit", [None, -1], ids=["mapped", "per-row"])
-    def test_reads_into_a_column_slice(self, tmp_path, limit):
+    # One mapping of the 4-row span, or, with the span cut to one 72-byte
+    # stride of the order-9 file, one mapping per row.
+    @pytest.mark.parametrize("span, maps", [(None, 1), (72, 4)], ids=["mapped", "per-row"])
+    def test_reads_into_a_column_slice(self, tmp_path, span, maps):
         a = rng(9).standard_normal((9, 9))
         path = tmp_path / "a.brim"
         write_matrix(path, a)
         dest = np.full((6, 7), -1.0)
         window = dest[1:5, 2:6]  # rows 4 apart in memory, each contiguous
-        limit = formats._GAP_LIMIT if limit is None else limit
         with (
             BrimReader(path) as reader,
-            mock.patch.object(formats, "_GAP_LIMIT", limit),
+            mock.patch.object(formats, "_SPAN_LIMIT", span or formats._SPAN_LIMIT),
             mock.patch.object(mmap, "mmap", wraps=mmap.mmap) as map_spy,
         ):
             assert reader.read_rect(3, 7, 1, 5, window) is window
             # A wrong shape, dtype or byte order, or rows that are not each
-            # contiguous, would be misread (rounded, half-filled as a short
-            # read, or a BufferError) by one branch or the other.
+            # contiguous, would be misread (rounded, or a BufferError).
             for bad in (window[:, :3], window.astype(np.float32), window.astype(">f8"), dest[1:5, ::2]):
                 with pytest.raises(DimensionMismatchError, match="destination"):
                     reader.read_rect(3, 7, 1, 5, bad)
-        assert map_spy.call_count == (limit >= 0)
+        assert map_spy.call_count == maps
         np.testing.assert_array_equal(window, a[3:7, 1:5])
         window[...] = -1.0
         assert (dest == -1.0).all()  # nothing outside the window was written
@@ -218,14 +218,21 @@ class TestBrimReader:
         a = rng(4).standard_normal((6, 6))
         path = tmp_path / "a.brim"
         write_matrix(path, a)
-        dest = np.zeros((4, 8))
-        with BrimReader(path) as reader, mock.patch.object(formats, "_GAP_LIMIT", -1):
+        dest = np.zeros((5, 8))
+        with (
+            BrimReader(path) as reader,
+            mock.patch.object(formats, "_SPAN_LIMIT", 6 * 8),  # one row per mapping
+            mock.patch.object(mmap, "mmap", wraps=mmap.mmap) as map_spy,
+        ):
             os.truncate(path, HEADER_BYTES + (4 * 6 + 2) * 8)
-            reader.read_rect(0, 4, 1, 5, dest[:, 2:6])
-            np.testing.assert_array_equal(dest[:, 2:6], a[0:4, 1:5])
+            reader.read_rect(0, 4, 1, 5, dest[:4, 2:6])
+            np.testing.assert_array_equal(dest[:4, 2:6], a[0:4, 1:5])
+            map_spy.reset_mock()
             with pytest.raises(FormatError, match=f"short read at byte {HEADER_BYTES + 4 * 6 * 8}:"):
-                reader.read_rect(3, 6, 0, 6, dest[:3, 1:7])
-            np.testing.assert_array_equal(dest[0, 1:7], a[3])
+                reader.read_rect(1, 6, 0, 6, dest[:, 1:7])
+            # Rows 1..3 lie inside the file, one mapping each, and are filled first.
+            assert map_spy.call_count == 3
+            np.testing.assert_array_equal(dest[:3, 1:7], a[1:4])
 
     def test_concurrent_reads_match_dense_slices(self, tmp_path):
         m = 40
@@ -258,8 +265,8 @@ class TestBrimReader:
         assert results == [[], [], [], []]
 
 
-# Orders of the files the rectangle property reads: at 600 a 100-column
-# rectangle leaves a 4000-byte gap, still under the mapping limit.
+# Orders of the files the rectangle property reads: at 600 a full-width read
+# spans 2.88 MB of the file, more than one mapping may hold.
 _RECT_ORDERS = (1, 7, 40, 600)
 
 
@@ -280,60 +287,97 @@ def rectangles(draw):
     r0, r1 = sorted(draw(st.lists(st.integers(0, m), min_size=2, max_size=2)))
     full_width = draw(st.booleans())  # cols == m: no gap between row segments
     c0, c1 = (0, m) if full_width else sorted(draw(st.lists(st.integers(0, m), min_size=2, max_size=2)))
-    return m, r0, r1, c0, c1
+    # A mapping span of p - 1 or p rows (a single row below one stride), capped at the real limit.
+    span = draw(st.integers(1, m + 1)) * 8 * m - draw(st.integers(0, 8 * m - 1))
+    return m, r0, r1, c0, c1, min(span, formats._SPAN_LIMIT)
+
+
+def _maps(rows: int, cols: int, m: int, span: int) -> int:
+    """Mappings of a rows x cols read of an order-m file: ceil(rows / rows per mapping)."""
+    return -(-rows // max(1, span // (8 * m))) if rows and cols else 0
 
 
 class TestReadRectGroups:
     @settings(max_examples=60, deadline=None)
-    @given(rect=rectangles(), per_row=st.booleans())
-    @example(rect=(600, 0, 600, 0, 600), per_row=False)
-    @example(rect=(600, 10, 580, 100, 350), per_row=False)
-    @example(rect=(600, 0, 600, 0, 600), per_row=True)
-    def test_read_rect_equals_dense_slice(self, rect_files, rect, per_row):
-        m, r0, r1, c0, c1 = rect
+    @given(rect=rectangles())
+    @example(rect=(600, 0, 600, 0, 600, formats._SPAN_LIMIT))
+    @example(rect=(600, 10, 580, 100, 350, formats._SPAN_LIMIT))
+    @example(rect=(600, 0, 600, 0, 600, 1))
+    def test_read_rect_equals_dense_slice(self, rect_files, rect):
+        m, r0, r1, c0, c1, span = rect
         path, a = rect_files[m]
-        # A negative limit sends every gap, even 0, down the one-read-per-row side.
-        limit = -1 if per_row else formats._GAP_LIMIT
-        with BrimReader(path) as reader, mock.patch.object(formats, "_GAP_LIMIT", limit):
-            np.testing.assert_array_equal(_rect(reader, r0, r1, c0, c1), a[r0:r1, c0:c1])
-
-    @pytest.mark.parametrize(
-        "limit, cols, maps, reads",
-        [
-            (None, 600, 1, 0),  # gap 0: one mapping of all 600 rows
-            (None, 100, 1, 0),  # gap 4000 bytes, still mapped through
-            (-1, 600, 0, 600),  # one read per row
-        ],
-    )
-    def test_read_count(self, rect_files, limit, cols, maps, reads):
-        path, a = rect_files[600]
-        limit = formats._GAP_LIMIT if limit is None else limit
         with (
             BrimReader(path) as reader,
-            mock.patch.object(formats, "_GAP_LIMIT", limit),
+            mock.patch.object(formats, "_SPAN_LIMIT", span),
+            mock.patch.object(mmap, "mmap", wraps=mmap.mmap) as map_spy,
+        ):
+            np.testing.assert_array_equal(_rect(reader, r0, r1, c0, c1), a[r0:r1, c0:c1])
+        assert map_spy.call_count == _maps(r1 - r0, c1 - c0, m, span)
+
+    # Rows are 4800 bytes apart in the order-600 file.
+    @pytest.mark.parametrize(
+        "span, cols, maps",
+        [
+            (None, 600, 2),  # 436 rows per 2 MiB mapping
+            (None, 100, 2),  # the gap between segments does not change the count
+            (4800, 600, 600),  # one row per mapping
+            (3 * 4800 + 8, 100, 200),  # three rows per mapping
+        ],
+        ids=["full-width", "100-cols", "row-per-map", "three-rows-per-map"],
+    )
+    def test_read_count(self, rect_files, span, cols, maps):
+        path, a = rect_files[600]
+        span = span or formats._SPAN_LIMIT
+        assert maps == _maps(600, cols, 600, span)
+        with (
+            BrimReader(path) as reader,
+            mock.patch.object(formats, "_SPAN_LIMIT", span),
             mock.patch.object(mmap, "mmap", wraps=mmap.mmap) as map_spy,
             mock.patch.object(os, "preadv", wraps=os.preadv) as read_spy,
         ):
             np.testing.assert_array_equal(_rect(reader, 0, 600, 0, cols), a[:, :cols])
-        assert (map_spy.call_count, read_spy.call_count) == (maps, reads)
+        assert (map_spy.call_count, read_spy.call_count) == (maps, 0)
+
+    def test_mappings_stay_within_the_span_limit(self, rect_files):
+        path, a = rect_files[600]
+        with BrimReader(path) as reader, mock.patch.object(mmap, "mmap", wraps=mmap.mmap) as map_spy:
+            np.testing.assert_array_equal(_rect(reader, 0, 600, 0, 600), a)
+        lengths = [call.args[1] for call in map_spy.call_args_list]
+        # The file is 2.88 MB; a mapping starts up to one granule below its first row.
+        assert sum(lengths) >= 600 * 4800
+        assert max(lengths) <= formats._SPAN_LIMIT + mmap.ALLOCATIONGRANULARITY
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
     def test_no_mapping_outlives_a_read(self, tmp_path):
         a = rng(8).standard_normal((6, 6))
         path = tmp_path / "a.brim"
         write_matrix(path, a)
+        real_mmap, opened = mmap.mmap, []
 
         def mapped() -> bool:
             with open("/proc/self/maps") as fh:
                 return any(line.rstrip().endswith(str(path)) for line in fh)
 
-        with BrimReader(path) as reader:
-            np.testing.assert_array_equal(_rect(reader, 1, 5, 0, 6), a[1:5])
+        def alone(*args, **kwargs):
+            # Each mapping opens only once the one before it has closed.
             assert not mapped()
-            os.truncate(path, HEADER_BYTES + (4 * 6 + 2) * 8)
-            with pytest.raises(FormatError, match="short read"):
-                _rect(reader, 3, 6, 0, 6)
-            assert not mapped()
+            opened.append(args)
+            return real_mmap(*args, **kwargs)
+
+        with mock.patch.object(mmap, "mmap", alone):
+            with BrimReader(path) as reader:
+                np.testing.assert_array_equal(_rect(reader, 1, 5, 0, 6), a[1:5])
+                assert not mapped()
+                with mock.patch.object(formats, "_SPAN_LIMIT", 2 * 6 * 8):  # two rows per mapping
+                    np.testing.assert_array_equal(_rect(reader, 0, 6, 1, 5), a[:, 1:5])
+                    assert not mapped()
+                    np.testing.assert_array_equal(read_matrix(path), a)
+                    assert not mapped()
+                assert len(opened) == 1 + 3 + 3
+                os.truncate(path, HEADER_BYTES + (4 * 6 + 2) * 8)
+                with pytest.raises(FormatError, match="short read"):
+                    _rect(reader, 3, 6, 0, 6)
+                assert not mapped()
 
 
 class TestBrimSink:

@@ -1,5 +1,7 @@
 """Block providers: layouts, sources, permutation views, padded windows."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,13 @@ class TestFileProvider:
         with make_file_provider(path, 4) as prov:
             invert_block(prov, 3, 2, ws).release()
         assert calls == [(4, 4, (4, 4))] * 64
+
+    def test_opens_its_file_once(self, tmp_path):
+        path = tmp_path / "a.brim"
+        write_matrix(path, np.eye(4))
+        with mock.patch("builtins.open", wraps=open) as spy:
+            make_file_provider(path, 2).close()
+        assert spy.call_count == 1
 
     def test_provider_closes_its_file(self, tmp_path, ws):
         path = tmp_path / "a.brim"
