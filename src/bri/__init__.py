@@ -8,14 +8,15 @@ block buffers alive. A dense LU baseline, operation counters, a memory
 gauge, and a benchmark harness round out the package.
 """
 
-from .baseline import MATERIALIZE_LIMIT, lu_invert_full
-from .core import Block, Workspace, invert_dense, multiply, subtract
+from .baseline import lu_invert_full
+from .core import Block, MemoryGauge, OpCounters, Workspace, invert_dense, multiply, subtract
 from .engine import (
     BranchPath,
     Frame,
     Quadrant,
     invert_block,
     invert_full,
+    predicted_counts,
     reduce_frame,
     root_frame,
     split_frame,
@@ -31,7 +32,6 @@ from .errors import (
     MaterializeLimitError,
     MissingBlocksError,
     SingularBlockError,
-    SingularMatrixError,
     SingularPivotError,
     UsageError,
 )
@@ -43,7 +43,6 @@ from .formats import (
     read_matrix,
     write_matrix,
 )
-from .instrumentation import MemoryGauge, OpCounters, predicted_counts
 from .providers import (
     BlockLayout,
     BlockProvider,

@@ -12,18 +12,16 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Workspace, invert_dense
-from .errors import DimensionMismatchError, SingularBlockError, SingularMatrixError
+from .errors import DimensionMismatchError
 
-__all__ = ["lu_invert_full", "MATERIALIZE_LIMIT"]
-
-# The largest input order `bri verify` accepts: it holds the input, its
-# dense LU inverse and the candidate at once. Traced peaks at m=512, in
-# m*m*8 bytes: 3.02 with --inverse, 3.35 when the k=4 block runs recompute it.
-MATERIALIZE_LIMIT = 4096
+__all__ = ["lu_invert_full"]
 
 
 def lu_invert_full(a: np.ndarray) -> np.ndarray:
-    """Dense inverse via LU with partial pivoting. Input left intact."""
+    """Dense inverse via LU with partial pivoting. Input left intact.
+
+    A singular matrix raises SingularBlockError of order m.
+    """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got shape {a.shape}")
@@ -32,8 +30,6 @@ def lu_invert_full(a: np.ndarray) -> np.ndarray:
     inverse = work.data
     try:
         invert_dense(work)
-    except SingularBlockError as e:
-        raise SingularMatrixError(e.pivot_index, a.shape[0]) from e
     finally:
         work.release()
     return inverse

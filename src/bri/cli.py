@@ -24,7 +24,7 @@ from statistics import median
 
 import numpy as np
 
-from .baseline import MATERIALIZE_LIMIT, lu_invert_full
+from .baseline import lu_invert_full
 from .core import Workspace
 from .engine import invert_block, invert_full
 from .errors import BriError, MaterializeLimitError, UsageError
@@ -32,6 +32,12 @@ from .formats import BrimSink, MemorySink, read_header, read_matrix, write_matri
 from .providers import KernelSpec, kernel_matrix, make_file_provider, make_memory_provider
 
 __all__ = ["main"]
+
+# The largest input order `bri verify` accepts: it holds the dense LU inverse
+# and the candidate at once, and the input only while LU inverts it. Traced
+# peaks at m=512, in m*m*8 bytes: 2.14 with --inverse, 2.30 when the k=4
+# block runs recompute it.
+MATERIALIZE_LIMIT = 4096
 
 # One `bri bench` CSV row per run, in this column order.
 _BENCH_COLUMNS = ("method", "m", "k", "wall_ms", "peak_bytes", "n_block_inv", "n_block_mul", "seed")
@@ -281,21 +287,22 @@ def cmd_invert_block(args) -> int:
 def cmd_verify(args) -> int:
     if not args.inverse and args.k is None:
         raise UsageError("verify without --inverse needs --k")
-    # The check holds the input, its LU inverse and the candidate densely.
     m = read_header(args.input)
     if m > MATERIALIZE_LIMIT:
         raise MaterializeLimitError(m, MATERIALIZE_LIMIT)
+    # The input array lives only while LU inverts it.
     if args.inverse:
         order = read_header(args.inverse)
         if order != m:
             raise UsageError(f"inverse order {order} does not match input order {m}")
-    matrix = read_matrix(args.input)
-    reference = lu_invert_full(matrix)
-    if args.inverse:
+        reference = lu_invert_full(read_matrix(args.input))
         candidate = read_matrix(args.inverse)
     else:
-        # Blocks come from the file, as in `bri invert`: no second copy of the input.
+        # Blocks come from the file, as in `bri invert`. A --k that no target
+        # can run is refused before the dense LU reads the input.
         with make_file_provider(args.input, args.k) as provider:
+            provider.run_view(1, 1)
+            reference = lu_invert_full(read_matrix(args.input))
             sink = MemorySink(provider.layout)
             invert_full(provider, sink, Workspace())
         candidate = sink.finalize()
@@ -306,7 +313,7 @@ def cmd_verify(args) -> int:
     ok = rel <= args.tol
     info = {
         "command": "verify",
-        "m": matrix.shape[0],
+        "m": m,
         "max_rel_error": rel,
         "at": [int(worst[0]), int(worst[1])],
         "tol": args.tol,

@@ -1,9 +1,15 @@
 """Dense b-by-b block arithmetic with explicit buffer accounting.
 
 All elements are float64 and every block buffer is a C-contiguous (b, b)
-ndarray owned by a :class:`Block`. A :class:`~bri.instrumentation.MemoryGauge`
-counts each buffer from allocation until an explicit ``release()`` drops it,
-so peak counts are deterministic and match the buffers the process holds.
+ndarray owned by a :class:`Block`. A :class:`MemoryGauge` counts each
+buffer from allocation until an explicit ``release()`` drops it, so peak
+counts are deterministic and match the buffers the process holds. The
+gauge counts these engine-managed buffers, not heap bytes: a file read's
+mapping, the multiply's scratch panel and LAPACK's work array are
+outside it. One *block operation* is one call on b-by-b operands, an
+inversion, a multiplication or a subtraction, and the
+:class:`OpCounters` of the block's :class:`Workspace` tallies each;
+nothing here is global state.
 
 Design notes
 ------------
@@ -48,9 +54,7 @@ Design notes
   reuses them and one OpenBLAS still serves all.
 * Singularity is a growth-scaled pivot test: |u_ii| <= b * eps * max|A|,
   with max|A| taken as max(max A, -min A). That builds no |A| copy, and a
-  NaN in A makes it NaN, which fails every pivot. LAPACK's work array
-  and the multiply panel are scratch, not block buffers; the gauge counts
-  engine-managed buffers only.
+  NaN in A makes it NaN, which fails every pivot.
 """
 
 from __future__ import annotations
@@ -59,13 +63,15 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, GaugeUnderflowError, SingularBlockError
-from .instrumentation import MemoryGauge, OpCounters
 
 __all__ = [
+    "OpCounters",
+    "MemoryGauge",
     "Block",
     "Workspace",
     "multiply",
@@ -94,6 +100,41 @@ def _extension(name: str, directory: str):
 _LINALG = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
 blas = _extension("scipy.linalg._fblas", _LINALG)
 lapack = _extension("scipy.linalg._flapack", _LINALG)
+
+
+@dataclass
+class OpCounters:
+    """Tally of block operations for one or more runs."""
+
+    block_inversions: int = 0
+    block_multiplications: int = 0
+    block_subtractions: int = 0
+    schur_nodes: int = 0
+
+
+class MemoryGauge:
+    """High-water mark of concurrently live block buffers.
+
+    Every allocation of a block-sized buffer registers here and every
+    release deregisters; releasing more than was registered raises
+    :class:`GaugeUnderflowError`.
+    """
+
+    __slots__ = ("live_blocks", "peak_blocks")
+
+    def __init__(self) -> None:
+        self.live_blocks = 0
+        self.peak_blocks = 0
+
+    def on_alloc(self) -> None:
+        self.live_blocks += 1
+        if self.live_blocks > self.peak_blocks:
+            self.peak_blocks = self.live_blocks
+
+    def on_release(self) -> None:
+        if self.live_blocks == 0:
+            raise GaugeUnderflowError("release of a buffer with none live")
+        self.live_blocks -= 1
 
 
 class Workspace:

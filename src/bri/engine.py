@@ -28,7 +28,9 @@ holds one block while it evaluates a child, and a leaf holds two, so the
 peak number of live buffers during one block run is exactly k (k - 2
 frames above the leaf, two at the leaf), the fewest this evaluation
 order allows. There is no memoization across branches: subtrees refetch
-blocks from the provider by design.
+blocks from the provider by design. Each node is one fold, so a block
+run's operation counts are closed forms in k: :func:`predicted_counts`
+returns them, and the workspace's counters match them exactly.
 
 A full inverse is k*k such runs, one after another on one workspace, so
 its peak is that of its largest run: time is traded for memory, one
@@ -41,8 +43,9 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable
 
-from .core import Block, Workspace, invert_dense, multiply, subtract
+from .core import Block, OpCounters, Workspace, invert_dense, multiply, subtract
 from .errors import (
+    BadPartitionError,
     FrameTooSmallError,
     SingularBlockError,
     SingularPivotError,
@@ -58,6 +61,7 @@ __all__ = [
     "reduce_frame",
     "invert_block",
     "invert_full",
+    "predicted_counts",
 ]
 
 
@@ -146,6 +150,24 @@ def _fold(get: Callable[[int], Block], q: Quadrant, ws: Workspace) -> Block:
     out = subtract(r, u)
     u.release()
     return out
+
+
+def predicted_counts(k: int) -> OpCounters:
+    """Exact block-operation counts for one single-block inversion run.
+
+    The reduction tree has (4**(k-1) - 1) / 3 nodes: levels of 4**j nodes
+    for j = 0 .. k-2. Each node costs 1 inversion + 2 multiplications +
+    1 subtraction, and the run finishes with one more dense inversion.
+    """
+    if k < 2:
+        raise BadPartitionError(f"partition needs k >= 2, got {k}")
+    nodes = (4 ** (k - 1) - 1) // 3
+    return OpCounters(
+        block_inversions=nodes + 1,
+        block_multiplications=2 * nodes,
+        block_subtractions=nodes,
+        schur_nodes=nodes,
+    )
 
 
 def reduce_frame(

@@ -42,19 +42,6 @@ class SingularBlockError(BriError):
         super().__init__(f"singular block: pivot {self.pivot_index} below threshold (order {order})")
 
 
-class SingularMatrixError(BriError):
-    """The full dense matrix handed to the baseline is numerically singular."""
-
-    exit_code = 2
-
-    def __init__(self, pivot_index: int, order: int):
-        self.pivot_index = int(pivot_index)
-        self.order = int(order)
-        super().__init__(
-            f"singular matrix of order {order}: pivot {pivot_index} below threshold"
-        )
-
-
 class SingularPivotError(BriError):
     """A pivot block inside the recursive reduction was singular.
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import hilbert
 
-from bri import DimensionMismatchError, SingularMatrixError, lu_invert_full
+from bri import DimensionMismatchError, SingularBlockError, lu_invert_full
 from conftest import shifted
 
 # exact rational inverse of the 4x4 Hilbert matrix (all entries integer)
@@ -40,7 +40,7 @@ class TestLuInvertFull:
         np.testing.assert_allclose(out, HILBERT4_INVERSE, rtol=1e-9)
 
     def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularBlockError, match=r"pivot 2 .*\(order 2\)"):
             lu_invert_full(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
@@ -48,10 +48,14 @@ class TestLuInvertFull:
         with pytest.raises(DimensionMismatchError, match="order >= 1"):
             lu_invert_full(np.empty((0, 0)))
 
+    def test_non_square_is_refused(self):
+        with pytest.raises(DimensionMismatchError, match="square"):
+            lu_invert_full(np.ones((2, 3)))
+
     def test_nan_raises(self):
         a = np.eye(3)
         a[1, 2] = np.nan
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularBlockError):
             lu_invert_full(a)
 
     def test_peak_is_one_working_copy(self):

@@ -16,7 +16,6 @@ from bri import (
     BriError,
     GaugeUnderflowError,
     SingularBlockError,
-    SingularMatrixError,
     SingularPivotError,
     lu_invert_full,
     read_matrix,
@@ -69,6 +68,9 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--kind", "randn", "--out", str(tmp_path / "x"))
         assert code == 3
         assert "--m" in err
+        code, _, err = run(capsys, "gen", "--kind", "lssvm", "--out", str(tmp_path / "x"))
+        assert code == 3
+        assert "--n" in err
 
     def test_json_summary(self, capsys, tmp_path):
         code, out, _ = run(capsys, "gen", "--kind", "randn", "--m", "6",
@@ -234,6 +236,14 @@ class TestInvertBlock:
         assert code == 0
         np.testing.assert_allclose(read_matrix(out), np.linalg.inv(a)[2:4, 4:6], atol=1e-10)
 
+    def test_large_block_without_out_is_not_printed(self, capsys, tmp_path):
+        src = tmp_path / "m.brim"
+        write_matrix(src, shifted(34, 117))  # b = 17
+        code, out, _ = run(capsys, "invert-block", "--in", str(src), "--k", "2",
+                           "--row", "1", "--col", "2")
+        assert code == 0
+        assert "pass --out to save it" in out and "[[" not in out
+
     @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
     def test_out_naming_the_input_is_refused(self, capsys, tmp_path, link):
         # Writing the block over --in would replace the whole input with it.
@@ -295,11 +305,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--in", str(src))
         assert code == 3 and "--k" in err
 
-    @pytest.mark.parametrize("given, bound", [(True, 3.5), (False, 3.75)],
+    @pytest.mark.parametrize("given, bound", [(True, 2.5), (False, 2.6)],
                              ids=["inverse", "recompute"])
     def test_peak_memory(self, capsys, tmp_path, given, bound):
-        # The input, its LU inverse and the candidate, with the gap computed in
-        # the candidate's buffer; recomputing adds the block runs' buffers.
+        # The LU inverse and the candidate, with the gap computed in the
+        # candidate's buffer; the input lives only while LU inverts it, beside
+        # LAPACK's m-by-64 work array. Recomputing adds the block runs' buffers.
+        # Measured: 2.33 with --inverse, 2.39 recomputing.
         m = 256
         src, inv = tmp_path / "a.brim", tmp_path / "inv.brim"
         write_matrix(src, shifted(m, 114))
@@ -326,6 +338,23 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--in", str(src), "--k", "2")
         assert code == 3
         assert "order 6" in err
+
+    # No target runs with k = 1, nor with l = 4 > 2b padding indices at k = 7.
+    @pytest.mark.parametrize(
+        "m, k, match", [(6, 1, "k >= 2"), (3, 7, "more than two blocks")],
+        ids=["k-1", "padding-over-2b"],
+    )
+    def test_unrunnable_k_is_refused_unread(self, capsys, monkeypatch, tmp_path, m, k, match):
+        src = tmp_path / "a.brim"
+        write_matrix(src, shifted(m, 118))
+
+        def unread(path):
+            raise AssertionError("verify read the payload before checking --k")
+
+        monkeypatch.setattr(bri.cli, "read_matrix", unread)
+        code, _, err = run(capsys, "verify", "--in", str(src), "--k", str(k))
+        assert code == 3
+        assert match in err
 
     def test_inverse_of_other_order_is_refused_unread(self, capsys, monkeypatch, tmp_path):
         src, other = tmp_path / "a.brim", tmp_path / "b.brim"
@@ -385,6 +414,20 @@ class TestBench:
         assert code == 3
         assert "k list" in err
 
+    @pytest.mark.parametrize(
+        "argv, match",
+        [
+            (["--m", "12", "--k-list", ","], "empty k list"),
+            (["--m", "12", "--k-list", "2", "--repeat", "0"], "--repeat"),
+            (["--m", "1", "--k-list", "2"], "--m >= 2"),
+        ],
+        ids=["empty-k-list", "repeat-0", "order-1"],
+    )
+    def test_unusable_sweep_is_usage_error(self, capsys, argv, match):
+        code, _, err = run(capsys, "bench", *argv)
+        assert code == 3
+        assert match in err
+
     def test_json_rows(self, capsys):
         code, out, _ = run(capsys, "bench", "--m", "12", "--k-list", "2", "--repeat", "1",
                            "--json")
@@ -410,7 +453,7 @@ ERROR_TYPES = [
 class TestExitCodes:
     @pytest.mark.parametrize("err", ERROR_TYPES, ids=lambda err: err.__name__)
     def test_error_type_carries_its_exit_code(self, err):
-        singular = (SingularBlockError, SingularMatrixError, SingularPivotError)
+        singular = (SingularBlockError, SingularPivotError)
         assert err.exit_code == (2 if err in singular else 3)
 
     def test_any_library_error_exits_with_its_code(self, capsys, monkeypatch, tmp_path):
@@ -450,8 +493,10 @@ class TestInputFileClosed:
             (["invert", "--k", "1", "--out", "{out}"], 3),
             (["invert-block", "--k", "2", "--row", "1", "--col", "2"], 0),
             (["invert-block", "--k", "2", "--row", "3", "--col", "1"], 3),
+            (["verify", "--k", "1"], 3),
         ],
-        ids=["invert", "invert-singular", "invert-bad-k", "block", "block-out-of-range"],
+        ids=["invert", "invert-singular", "invert-bad-k", "block", "block-out-of-range",
+             "verify-bad-k"],
     )
     def test_no_unclosed_file(self, capsys, tmp_path, argv, want):
         src = tmp_path / "a.brim"

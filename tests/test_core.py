@@ -260,6 +260,11 @@ class TestBlasLapackLoader:
         assert "scipy.linalg" not in out
         assert {"scipy.linalg._fblas", "scipy.linalg._flapack"} <= set(out)
 
+    def test_import_leaves_the_cli_out(self):
+        # The command line's argument parsing is not part of `import bri`.
+        out = _fresh_python("import json, sys, bri; print(json.dumps(sorted(sys.modules)))")
+        assert "bri.cli" not in out and "argparse" not in out
+
     @pytest.mark.parametrize("first", ["import bri, bri.cli", "import scipy.linalg"])
     def test_one_set_of_wrappers_either_import_order(self, first):
         # bri's wrappers are the very objects scipy.linalg serves, so one

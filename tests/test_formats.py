@@ -130,8 +130,13 @@ class TestHeaderValidation:
 class TestBrimReader:
     @pytest.mark.parametrize(
         "offset, patch, match",
-        [(0, b"NOPE", "magic"), (4, struct.pack("<I", 0), "partial"), (None, b"", "expected")],
-        ids=["bad-magic", "version-0", "wrong-size"],
+        [
+            (0, b"NOPE", "magic"),
+            (4, struct.pack("<I", 0), "partial"),
+            (16, b"\x02", "dtype tag 2"),
+            (None, b"", "expected"),
+        ],
+        ids=["bad-magic", "version-0", "dtype-tag", "wrong-size"],
     )
     def test_bad_header_raises_and_closes(self, tmp_path, offset, patch, match):
         path = tmp_path / "bad.brim"
@@ -163,6 +168,13 @@ class TestBrimReader:
             np.testing.assert_array_equal(_rect(reader, 0, 3, 0, 3), a[0:3, 0:3])
             np.testing.assert_array_equal(_rect(reader, 2, 9, 4, 7), a[2:9, 4:7])
             np.testing.assert_array_equal(_rect(reader, 8, 9, 8, 9), a[8:9, 8:9])
+
+    @pytest.mark.parametrize("rect", [(0, 5, 0, 1), (2, 1, 0, 1), (0, 1, -1, 1)])
+    def test_rect_outside_order_is_refused(self, tmp_path, rect):
+        path = tmp_path / "a.brim"
+        write_matrix(path, np.eye(4))
+        with BrimReader(path) as reader, pytest.raises(IndexOutOfRangeError, match="order 4"):
+            reader.read_rect(*rect, np.empty((1, 1)))
 
     def test_rect_is_owned_native_float64(self, tmp_path):
         path = tmp_path / "a.brim"

@@ -63,6 +63,15 @@ class TestMemoryProvider:
                 blk.release()
         assert ws.gauge.live_blocks == 0
 
+    def test_rejects_non_square_input_and_outside_block(self, ws):
+        with pytest.raises(DimensionMismatchError, match="square"):
+            make_memory_provider(np.ones((2, 3)), 2)
+        prov = make_memory_provider(np.eye(4), 2)
+        for alpha, beta in [(3, 1), (1, 0)]:
+            with pytest.raises(IndexOutOfRangeError):
+                prov.fetch_block(alpha, beta, ws)
+        assert ws.gauge.live_blocks == 0
+
     def test_source_copy_is_isolated(self, ws):
         a = np.eye(2)
         prov = make_memory_provider(a, 2)
@@ -175,6 +184,12 @@ class TestKernelProvider:
         spec = KernelSpec(inputs=rng(32).standard_normal((5, 3)), gamma=1.5, sigma=0.8)
         prov = make_kernel_provider(spec, 2)
         np.testing.assert_array_equal(dense(prov), kernel_matrix(spec))
+
+    def test_one_dimensional_inputs_are_one_feature(self):
+        x = rng(33).standard_normal(4)
+        spec = KernelSpec(inputs=x)
+        assert spec.inputs.shape == (4, 1) and spec.order == 5
+        np.testing.assert_array_equal(kernel_matrix(spec), kernel_matrix(KernelSpec(x[:, None])))
 
     def test_spec_validation(self):
         with pytest.raises(BadPartitionError):
