@@ -39,7 +39,6 @@ from .formats import (
     BrimReader,
     BrimSink,
     MemorySink,
-    read_header,
     read_matrix,
     write_matrix,
 )

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Workspace, invert_dense
-from .errors import DimensionMismatchError
 
 __all__ = ["lu_invert_full"]
 
@@ -20,11 +19,9 @@ __all__ = ["lu_invert_full"]
 def lu_invert_full(a: np.ndarray) -> np.ndarray:
     """Dense inverse via LU with partial pivoting. Input left intact.
 
-    A singular matrix raises SingularBlockError of order m.
+    A non-square or order-0 input raises DimensionMismatchError, and a
+    singular matrix SingularBlockError of order m.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"matrix must be square, got shape {a.shape}")
     ws = Workspace()
     work = ws.from_array(a)  # inverted in place, input stays untouched
     inverse = work.data

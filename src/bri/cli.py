@@ -20,6 +20,7 @@ import os
 import resource
 import sys
 import time
+from dataclasses import asdict
 from statistics import median
 
 import numpy as np
@@ -28,7 +29,7 @@ from .baseline import lu_invert_full
 from .core import Workspace
 from .engine import invert_block, invert_full
 from .errors import BriError, MaterializeLimitError, UsageError
-from .formats import BrimSink, MemorySink, read_header, read_matrix, write_matrix
+from .formats import BrimReader, BrimSink, MemorySink, read_matrix, write_matrix
 from .providers import KernelSpec, kernel_matrix, make_file_provider, make_memory_provider
 
 __all__ = ["main"]
@@ -60,6 +61,28 @@ def _k_list(text: str) -> list[int]:
     return ks
 
 
+def _seed(text: str) -> int:
+    """A PCG64 seed: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}, expected an integer >= 0")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _tol(text: str) -> float:
+    """A relative error bound: finite and non-negative."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}, expected a number >= 0")
+    if not (tol >= 0 and np.isfinite(tol)):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text}")
+    return tol
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="bri",
@@ -74,7 +97,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--kind", required=True, choices=("randn", "spd", "lssvm"))
     gen.add_argument("--m", type=int, help="matrix order (randn, spd)")
     gen.add_argument("--n", type=int, help="training point count (lssvm; order is n+1)")
-    gen.add_argument("--seed", type=int, default=42, help="PCG64 seed (default 42)")
+    gen.add_argument("--seed", type=_seed, default=42, help="PCG64 seed (default 42)")
     gen.add_argument("--sigma", type=float, default=1.0, help="kernel width (lssvm)")
     gen.add_argument("--gamma", type=float, default=1.0, help="ridge weight (lssvm)")
     gen.add_argument("--out", required=True, help="output BRIM file")
@@ -99,14 +122,14 @@ def _build_parser() -> _Parser:
     ver.add_argument("--in", dest="input", required=True, help="input BRIM file")
     ver.add_argument("--k", type=int, help="block partition (required without --inverse)")
     ver.add_argument("--inverse", help="claimed inverse to check (default: run the recursion)")
-    ver.add_argument("--tol", type=float, default=1e-8, help="relative max-norm bound")
+    ver.add_argument("--tol", type=_tol, default=1e-8, help="relative max-norm bound")
     ver.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", parents=[common], help="timing/memory sweep to CSV")
     bench.add_argument("--m", type=int, required=True, help="matrix order")
     bench.add_argument("--k-list", dest="k_list", type=_k_list, required=True, help="e.g. 2,4,8")
     bench.add_argument("--kind", choices=("randn", "spd", "lssvm"), default="randn")
-    bench.add_argument("--seed", type=int, default=42)
+    bench.add_argument("--seed", type=_seed, default=42)
     bench.add_argument("--repeat", type=int, default=3, help="runs per configuration")
     bench.add_argument("--sigma", type=float, default=1.0)
     bench.add_argument("--gamma", type=float, default=1.0)
@@ -226,10 +249,7 @@ def cmd_invert(args) -> int:
         "peak_blocks": peak,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "peak_bytes": peak_bytes,
-        "block_inversions": c.block_inversions,
-        "block_multiplications": c.block_multiplications,
-        "block_subtractions": c.block_subtractions,
-        "schur_nodes": c.schur_nodes,
+        **asdict(c),
         "out": args.out,
     }
     _emit(
@@ -287,12 +307,14 @@ def cmd_invert_block(args) -> int:
 def cmd_verify(args) -> int:
     if not args.inverse and args.k is None:
         raise UsageError("verify without --inverse needs --k")
-    m = read_header(args.input)
+    with BrimReader(args.input) as reader:
+        m = reader.m
     if m > MATERIALIZE_LIMIT:
         raise MaterializeLimitError(m, MATERIALIZE_LIMIT)
     # The input array lives only while LU inverts it.
     if args.inverse:
-        order = read_header(args.inverse)
+        with BrimReader(args.inverse) as reader:
+            order = reader.m
         if order != m:
             raise UsageError(f"inverse order {order} does not match input order {m}")
         reference = lu_invert_full(read_matrix(args.input))

@@ -73,10 +73,6 @@ class Quadrant(IntEnum):
     C = 2
     D = 3
 
-    @property
-    def mirror(self) -> "Quadrant":
-        return Quadrant(self ^ 3)
-
 
 BranchPath = tuple[Quadrant, ...]
 
@@ -128,7 +124,7 @@ def split_frame(frame: Frame) -> tuple[Frame, Frame, Frame, Frame]:
     )
 
 
-def _fold(get: Callable[[int], Block], q: Quadrant, ws: Workspace) -> Block:
+def _fold(get: Callable[[int], Block], q: int, ws: Workspace) -> Block:
     """One Schur reduction, evaluating operands lazily in release order.
 
     For pivot quadrant q the reduction is  r - l @ (inv(pivot) @ rt):
@@ -199,7 +195,7 @@ def reduce_frame(
             child = children[key]
             return reduce_frame(provider, child, ws, path + (child.label,))
 
-        q = frame.label.mirror
+        q = frame.label ^ 3
     try:
         out = _fold(get, q, ws)
     except SingularBlockError as e:

@@ -31,7 +31,6 @@ __all__ = [
     "DTYPE_F64",
     "HEADER_BYTES",
     "write_matrix",
-    "read_header",
     "read_matrix",
     "BrimReader",
     "BrimSink",
@@ -69,13 +68,6 @@ def _check_header(fh, origin: str) -> int:
     if actual != expected:
         raise FormatError(f"{origin}: expected {expected} bytes for order {m}, found {actual}")
     return m
-
-
-def read_header(path) -> int:
-    """Read and validate a BRIM header, including total file size; return the order."""
-    path = os.fspath(path)
-    with open(path, "rb") as fh:
-        return _check_header(fh, path)
 
 
 def write_matrix(path, matrix) -> None:

@@ -88,6 +88,34 @@ class BlockLayout:
         return cls(m=m, k=k, l=l, b=(m + l) // k)
 
 
+# ---------------------------------------------------------------------------
+# Element sources: rect(r0, r1, c0, c1, out) writes that rectangle of the raw
+# (unpadded) m-by-m matrix into out, the caller's float64 array of its shape.
+# The memory and file sources wrap an array and a BrimReader; a KernelSpec is
+# its own source, recomputing its elements on every call.
+# ---------------------------------------------------------------------------
+
+
+class _MemorySource:
+    def __init__(self, matrix: np.ndarray):
+        a = np.array(matrix, dtype=np.float64, order="C", copy=True)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise DimensionMismatchError(f"matrix must be square, got shape {a.shape}")
+        a.setflags(write=False)
+        self.matrix = a
+
+    def rect(self, r0, r1, c0, c1, out: np.ndarray) -> None:
+        out[...] = self.matrix[r0:r1, c0:c1]
+
+
+class _FileSource:
+    def __init__(self, path):
+        self.reader = BrimReader(path)
+
+    def rect(self, r0, r1, c0, c1, out: np.ndarray) -> None:
+        self.reader.read_rect(r0, r1, c0, c1, out)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Gaussian-kernel system matrix of order n+1 for n training inputs.
@@ -97,6 +125,8 @@ class KernelSpec:
     exp(-||x_{i-1} - x_{j-1}||^2 / (2 sigma^2)) + delta_ij / gamma.
     Elements are recomputed on every fetch; the inputs are the only state.
     """
+
+    PANEL = 1024  # elements of one row panel (8 KiB)
 
     inputs: np.ndarray  # (n, d), a read-only copy
     gamma: float = 1.0
@@ -117,44 +147,8 @@ class KernelSpec:
     def order(self) -> int:
         return self.inputs.shape[0] + 1
 
-
-# ---------------------------------------------------------------------------
-# Element sources: rect(r0, r1, c0, c1, out) writes that rectangle of the raw
-# (unpadded) m-by-m matrix into out, the caller's float64 array of its shape.
-# ---------------------------------------------------------------------------
-
-
-class _MemorySource:
-    def __init__(self, matrix: np.ndarray):
-        a = np.array(matrix, dtype=np.float64, order="C", copy=True)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatchError(f"matrix must be square, got shape {a.shape}")
-        a.setflags(write=False)
-        self.matrix = a
-        self.m = a.shape[0]
-
     def rect(self, r0, r1, c0, c1, out: np.ndarray) -> None:
-        out[...] = self.matrix[r0:r1, c0:c1]
-
-
-class _FileSource:
-    def __init__(self, path):
-        self.reader = BrimReader(path)
-        self.m = self.reader.m
-
-    def rect(self, r0, r1, c0, c1, out: np.ndarray) -> None:
-        self.reader.read_rect(r0, r1, c0, c1, out)
-
-
-class _KernelSource:
-    PANEL = 1024  # elements of one row panel (8 KiB)
-
-    def __init__(self, spec: KernelSpec):
-        self.spec = spec
-        self.m = spec.order
-
-    def rect(self, r0, r1, c0, c1, out: np.ndarray) -> None:
-        spec = self.spec
+        """Write rows r0:r1 and columns c0:c1 of the system matrix into ``out``."""
         if r0 == 0:
             out[0, :] = 1.0
             if c0 == 0:
@@ -164,8 +158,8 @@ class _KernelSource:
         i0, j0 = max(r0, 1), max(c0, 1)
         if i0 < r1 and j0 < c1:
             gram = out[i0 - r0 :, j0 - c0 :]
-            xi = spec.inputs[i0 - 1 : r1 - 1].T
-            xj = spec.inputs[j0 - 1 : c1 - 1].T
+            xi = self.inputs[i0 - 1 : r1 - 1].T
+            xj = self.inputs[j0 - 1 : c1 - 1].T
             # Row panels of about PANEL elements, squares summed one dimension
             # at a time: each temporary is at most a panel. For d < 8 that is the
             # order of numpy's sum(axis=-1), so entries are bit-identical to it.
@@ -176,12 +170,12 @@ class _KernelSource:
                 for a, b in zip(xi[:, p : p + h], xj):
                     diff = np.subtract.outer(a, b)
                     acc += np.square(diff, out=diff)
-                np.divide(acc, -2.0 * spec.sigma**2, out=acc)
+                np.divide(acc, -2.0 * self.sigma**2, out=acc)
                 np.exp(acc, out=acc)
             # ridge term on the global diagonal only
             di = np.arange(i0, r1)
             on_diag = (di >= j0) & (di < c1)
-            gram[np.flatnonzero(on_diag), di[on_diag] - j0] += 1.0 / spec.gamma
+            gram[np.flatnonzero(on_diag), di[on_diag] - j0] += 1.0 / self.gamma
 
 
 def _real_window(lay: BlockLayout, j: int) -> np.ndarray:
@@ -374,7 +368,7 @@ class BlockProvider:
 def make_memory_provider(matrix, k: int) -> BlockProvider:
     """Provider over an in-memory square matrix (copied, then read-only)."""
     source = _MemorySource(matrix)
-    return BlockProvider(source, BlockLayout.for_order(source.m, k))
+    return BlockProvider(source, BlockLayout.for_order(len(source.matrix), k))
 
 
 def make_file_provider(path, k: int) -> BlockProvider:
@@ -384,7 +378,7 @@ def make_file_provider(path, k: int) -> BlockProvider:
     """
     source = _FileSource(path)
     try:
-        return BlockProvider(source, BlockLayout.for_order(source.m, k))
+        return BlockProvider(source, BlockLayout.for_order(source.reader.m, k))
     except BaseException:
         source.reader.close()  # a rejected layout leaks no file
         raise
@@ -392,12 +386,11 @@ def make_file_provider(path, k: int) -> BlockProvider:
 
 def make_kernel_provider(spec: KernelSpec, k: int) -> BlockProvider:
     """Provider over a kernel system matrix, elements recomputed per fetch."""
-    source = _KernelSource(spec)
-    return BlockProvider(source, BlockLayout.for_order(spec.order, k))
+    return BlockProvider(spec, BlockLayout.for_order(spec.order, k))
 
 
 def kernel_matrix(spec: KernelSpec) -> np.ndarray:
     """The full order-(n+1) kernel system matrix as one dense array."""
     out = np.empty((spec.order, spec.order))
-    _KernelSource(spec).rect(0, spec.order, 0, spec.order, out)
+    spec.rect(0, spec.order, 0, spec.order, out)
     return out

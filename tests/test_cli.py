@@ -356,6 +356,21 @@ class TestVerify:
         assert code == 3
         assert match in err
 
+    # A NaN or negative bound would report FAIL on an exact inverse; an
+    # infinite one would pass anything.
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_unusable_tol_is_refused_unread(self, capsys, monkeypatch, tmp_path, tol):
+        src = tmp_path / "a.brim"
+        write_matrix(src, shifted(6, 112))
+
+        def unread(path):
+            raise AssertionError("verify read the input before checking --tol")
+
+        monkeypatch.setattr(bri.cli, "read_matrix", unread)
+        code, _, err = run(capsys, "verify", "--in", str(src), "--k", "2", "--tol", tol)
+        assert code == 3
+        assert "--tol" in err
+
     def test_inverse_of_other_order_is_refused_unread(self, capsys, monkeypatch, tmp_path):
         src, other = tmp_path / "a.brim", tmp_path / "b.brim"
         write_matrix(src, shifted(6, 111))
@@ -443,6 +458,23 @@ class TestUsage:
 
     def test_no_arguments(self, capsys):
         assert run(capsys)[0] == 3
+
+    # numpy's PCG64 refuses a negative seed with a ValueError, which is no
+    # usage error; the seed is checked before anything is generated.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--kind", "randn", "--m", "4", "--out"],
+            ["bench", "--m", "8", "--k-list", "2", "--csv"],
+        ],
+        ids=["gen", "bench"],
+    )
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *argv, str(out), "--seed", "-1")
+        assert code == 3
+        assert "--seed" in err
+        assert not out.exists()
 
 
 ERROR_TYPES = [

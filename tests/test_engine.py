@@ -33,16 +33,6 @@ from conftest import full_inverse, replay, rng, shifted
 A, B, C, D = Quadrant.A, Quadrant.B, Quadrant.C, Quadrant.D
 
 
-class TestQuadrant:
-    def test_mirror_mapping(self):
-        assert A.mirror is D and D.mirror is A
-        assert B.mirror is C and C.mirror is B
-
-    def test_mirror_is_involution(self):
-        for q in Quadrant:
-            assert q.mirror.mirror is q
-
-
 class TestFoldOrder:
     # pivot, rt, l, r for each pivot quadrant: r - l @ (inv(pivot) @ rt)
     PLAN = {

@@ -24,7 +24,6 @@ from bri import (
     IndexOutOfRangeError,
     MemorySink,
     MissingBlocksError,
-    read_header,
     read_matrix,
     write_matrix,
 )
@@ -89,13 +88,13 @@ class TestHeaderValidation:
         raw[:4] = b"NOPE"
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="magic"):
-            read_header(path)
+            BrimReader(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.brim"
         path.write_bytes(b"BRIM\x01")
         with pytest.raises(FormatError, match="truncated"):
-            read_header(path)
+            BrimReader(path)
 
     def test_size_must_match_order(self, tmp_path):
         path = tmp_path / "cut.brim"
@@ -103,19 +102,19 @@ class TestHeaderValidation:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])  # drop one element
         with pytest.raises(FormatError, match="expected"):
-            read_header(path)
+            BrimReader(path)
 
     def test_order_zero_is_refused(self, tmp_path):
         path = tmp_path / "empty.brim"
         path.write_bytes(formats._pack_header(0))
         with pytest.raises(FormatError, match="order 0"):
-            read_header(path)
+            BrimReader(path)
 
-    def test_read_header_returns_the_order(self, tmp_path):
+    def test_reader_reports_the_order(self, tmp_path):
         path = tmp_path / "a.brim"
         write_matrix(path, np.eye(5))
-        order = read_header(path)
-        assert type(order) is int and order == 5
+        with BrimReader(path) as reader:
+            assert type(reader.m) is int and reader.m == 5
 
     def test_version_zero_flagged_as_partial(self, tmp_path):
         path = tmp_path / "part.brim"
