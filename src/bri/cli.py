@@ -128,17 +128,14 @@ def _build_parser() -> _Parser:
     bench = sub.add_parser("bench", parents=[common], help="timing/memory sweep to CSV")
     bench.add_argument("--m", type=int, required=True, help="matrix order")
     bench.add_argument("--k-list", dest="k_list", type=_k_list, required=True, help="e.g. 2,4,8")
-    bench.add_argument("--kind", choices=("randn", "spd", "lssvm"), default="randn")
     bench.add_argument("--seed", type=_seed, default=42)
     bench.add_argument("--repeat", type=int, default=3, help="runs per configuration")
-    bench.add_argument("--sigma", type=float, default=1.0)
-    bench.add_argument("--gamma", type=float, default=1.0)
     bench.add_argument("--csv", help="output CSV path")
     bench.set_defaults(func=cmd_bench)
     return parser
 
 
-def _generate(kind: str, order: int, seed: int, sigma: float, gamma: float) -> np.ndarray:
+def _generate(kind: str, order: int, seed: int, sigma: float = 1.0, gamma: float = 1.0) -> np.ndarray:
     # the generator is pinned by name so files regenerate bit-identically
     # across platforms and numpy releases
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -358,7 +355,7 @@ def cmd_bench(args) -> int:
         raise UsageError(f"--repeat must be >= 1, got {args.repeat}")
     if args.m < 2:
         raise UsageError(f"bench needs --m >= 2, got {args.m}")
-    matrix = _generate(args.kind, args.m, args.seed, args.sigma, args.gamma)
+    matrix = _generate("randn", args.m, args.seed)
     runs = []
     for _ in range(args.repeat):
         for k in args.k_list:

@@ -11,10 +11,10 @@ block-diagonal extension [[M, 0], [0, I]], which lets every k divide the
 working order, through an element row map and an element column map:
 
 * the providers the make_* functions build use identity maps, and
-* views come only from run_view, which composes a block exchange onto
-  its provider's maps: block row 1 with beta and block column 1 with
-  alpha, which moves the target block of the inverse into leading
-  position. The (1,1) inverse block of the view equals N_alpha_beta.
+* views come only from run_view on such a provider, whose maps exchange
+  block row 1 with beta and block column 1 with alpha, which moves the
+  target block of the inverse into leading position. The (1,1) inverse
+  block of the view equals N_alpha_beta. A view refuses run_view.
 
 Each block's slice of each map is split into contiguous real strips and
 padding positions once, when the view is built, so a fetch only reads.
@@ -124,6 +124,7 @@ class KernelSpec:
     of the first row and column are 1, and interior entry (i, j) is
     exp(-||x_{i-1} - x_{j-1}||^2 / (2 sigma^2)) + delta_ij / gamma.
     Elements are recomputed on every fetch; the inputs are the only state.
+    Inputs are (n, d) arrays; a 1-D array raises DimensionMismatchError.
     """
 
     PANEL = 1024  # elements of one row panel (8 KiB)
@@ -134,10 +135,8 @@ class KernelSpec:
 
     def __post_init__(self):
         x = np.array(self.inputs, dtype=np.float64, order="C", copy=True)
-        if x.ndim == 1:
-            x = x[:, None]
         if x.ndim != 2 or x.shape[0] < 1:
-            raise DimensionMismatchError(f"kernel inputs must be (n, d), got {self.inputs.shape}")
+            raise DimensionMismatchError(f"kernel inputs must be (n, d), got {x.shape}")
         if not (self.gamma > 0) or not (self.sigma > 0):
             raise BadPartitionError("kernel gamma and sigma must be positive")
         x.setflags(write=False)
@@ -311,17 +310,15 @@ class BlockProvider:
         block holds no padding; otherwise it zeroes the window past the
         target's real rows and columns, sets the padding diagonal when
         alpha == beta, and returns the array it was given.
+        A view is final: calling run_view on one raises ValueError.
         """
         lay = self.layout
+        if self._mapped:
+            raise ValueError("run_view was called on a view; call it on the base provider")
         if not (1 <= alpha <= lay.k and 1 <= beta <= lay.k):
             raise IndexOutOfRangeError(f"inverse block ({alpha}, {beta}) outside 1..{lay.k}")
-        if lay.l == 0 or self._mapped:
-            # The plain exchange: block row 1 with beta, block column 1 with
-            # alpha. A view already mapped away from the padded matrix has no
-            # identity corner for a finisher to restore, so it keeps this
-            # exchange too.
-            rmap, cmap = self._rmap[_swap(lay, beta)], self._cmap[_swap(lay, alpha)]
-            return BlockProvider(self.source, lay, rmap, cmap), None
+        if lay.l == 0:
+            return BlockProvider(self.source, lay, _swap(lay, beta), _swap(lay, alpha)), None
         if lay.k >= 5 and lay.l > 2 * lay.b:
             # Deep reductions invert pivots whose row and column block
             # sets differ over blocks 3..k-1; padding caught there makes
@@ -336,8 +333,7 @@ class BlockProvider:
         # their rows (or vice versa) inside interior pivots, singular for
         # every M. View rows index the *columns* of the inverse, so the
         # leading row window carries beta's span.
-        rmap, cmap = _run_maps(lay, alpha, beta)
-        view = BlockProvider(self.source, lay, self._rmap[rmap], self._cmap[cmap])
+        view = BlockProvider(self.source, lay, *_run_maps(lay, alpha, beta))
         # The window's leading h rows and w columns are the target's real entries.
         h = min(lay.b, max(0, lay.m - (alpha - 1) * lay.b))
         w = min(lay.b, max(0, lay.m - (beta - 1) * lay.b))

@@ -435,8 +435,10 @@ class TestBench:
             (["--m", "12", "--k-list", ","], "empty k list"),
             (["--m", "12", "--k-list", "2", "--repeat", "0"], "--repeat"),
             (["--m", "1", "--k-list", "2"], "--m >= 2"),
+            (["--m", "12", "--k-list", "2", "--kind", "spd"], "unrecognized arguments"),
+            (["--m", "12", "--k-list", "2", "--sigma", "2"], "unrecognized arguments"),
         ],
-        ids=["empty-k-list", "repeat-0", "order-1"],
+        ids=["empty-k-list", "repeat-0", "order-1", "kind-spd", "sigma-2"],
     )
     def test_unusable_sweep_is_usage_error(self, capsys, argv, match):
         code, _, err = run(capsys, "bench", *argv)

@@ -15,8 +15,6 @@ from bri import (
     DimensionMismatchError,
     IndexOutOfRangeError,
     KernelSpec,
-    SingularBlockError,
-    SingularPivotError,
     Workspace,
     invert_block,
     kernel_matrix,
@@ -185,11 +183,10 @@ class TestKernelProvider:
         prov = make_kernel_provider(spec, 2)
         np.testing.assert_array_equal(dense(prov), kernel_matrix(spec))
 
-    def test_one_dimensional_inputs_are_one_feature(self):
-        x = rng(33).standard_normal(4)
-        spec = KernelSpec(inputs=x)
-        assert spec.inputs.shape == (4, 1) and spec.order == 5
-        np.testing.assert_array_equal(kernel_matrix(spec), kernel_matrix(KernelSpec(x[:, None])))
+    @pytest.mark.parametrize("x", [rng(33).standard_normal(4), [0.5, 1.0, 2.0]], ids=["array", "list"])
+    def test_one_dimensional_inputs_are_refused(self, x):
+        with pytest.raises(DimensionMismatchError, match=r"\(n, d\)"):
+            KernelSpec(inputs=x)
 
     def test_spec_validation(self):
         with pytest.raises(BadPartitionError):
@@ -219,14 +216,11 @@ class TestPermutedProvider:
         cols = [4, 5, 2, 3, 0, 1]  # block cols 1 and alpha=3 exchanged
         np.testing.assert_array_equal(dense(view), a[np.ix_(rows, cols)])
 
-    def test_involution(self):
-        a = rng(42).standard_normal((6, 6))
-        base = make_memory_provider(a, 3)
-        for alpha in range(1, 4):
-            for beta in range(1, 4):
-                once, _ = base.run_view(alpha, beta)
-                twice, _ = once.run_view(alpha, beta)
-                np.testing.assert_array_equal(dense(twice), a)
+    @pytest.mark.parametrize("m", [6, 5], ids=["plain", "padded"])
+    def test_view_refuses_run_view(self, m):
+        view, _ = make_memory_provider(shifted(m, 42), 3).run_view(2, 3)
+        with pytest.raises(ValueError, match="base provider"):
+            view.run_view(2, 3)
 
     def test_leading_window_of_view_inverse_is_target_block(self):
         # the invariant the whole permutation scheme rests on
@@ -361,27 +355,6 @@ class TestRunViewMaps:
         assert finish is None
         lay = prov.layout
         np.testing.assert_array_equal(dense(view), a[np.ix_(_swap(lay, 3), _swap(lay, 2))])
-
-    def test_padded_permuted_view_inverts_right_or_raises(self, ws):
-        # A view that moved the padding has no identity corner for the
-        # shifted window's finisher to restore; it keeps the plain exchange,
-        # whose pivots may be singular but whose answers are never wrong.
-        # Composing the shifted window onto it instead, with l = 3 > b = 2
-        # here, returns wrong blocks at targets (2,3), (3,2) and (3,3).
-        view, _ = make_memory_provider(shifted(5, 58), 4).run_view(4, 4)
-        inv = np.linalg.inv(dense(view))
-        solved = 0
-        for alpha in range(1, 5):
-            for beta in range(1, 5):
-                try:
-                    blk = invert_block(view, alpha, beta, ws)
-                except (SingularBlockError, SingularPivotError):
-                    continue
-                want = inv[(alpha - 1) * 2 : alpha * 2, (beta - 1) * 2 : beta * 2]
-                np.testing.assert_allclose(blk.data, want, atol=1e-9)
-                blk.release()
-                solved += 1
-        assert solved > 0
 
     def test_padding_wider_than_two_blocks_rejected(self):
         prov = make_memory_provider(shifted(3, 55), 7)  # l = 4 > 2b = 2
