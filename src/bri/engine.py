@@ -2,8 +2,9 @@
 
 The computation is organized around *frames*: pure index bookkeeping that
 names a (sub)problem as an ordered tuple of 1-based block-row and
-block-column indices into the provider, plus the quadrant label the frame
-occupies in its parent. No element arithmetic happens at split time.
+block-column indices into the provider, plus its branch path: the
+quadrants from the root frame, (A,), down to the one the frame occupies in
+its parent. No element arithmetic happens at split time.
 
 Splitting a frame of n block rows produces four children of n-1:
 
@@ -14,10 +15,10 @@ Splitting a frame of n block rows produces four children of n-1:
 
 The exchange keeps the anchor block — position (2, 2) of every frame — in
 place all the way down, so every leaf (n = 2) eliminates its D quadrant,
-and an internal node with label x eliminates the mirror of x (A <-> D,
-B <-> C) on the 2x2 of its reduced children. A quadrant's value is
-2*row + col, so its mirror is q ^ 3 and the two beside it are q ^ 1 and
-q ^ 2.
+and an internal node whose path ends in x eliminates the mirror of x
+(A <-> D, B <-> C) on the 2x2 of its reduced children. A quadrant's value
+is 2*row + col, so its mirror is q ^ 3 and the two beside it are q ^ 1
+and q ^ 2.
 
 Buffer discipline: a node evaluates the pivot child first and inverts it
 in place, then folds the other children in one at a time, each written
@@ -79,11 +80,11 @@ BranchPath = tuple[Quadrant, ...]
 
 @dataclass(frozen=True)
 class Frame:
-    """An n-by-n sub-grid of block indices (1-based) with a quadrant label."""
+    """An n-by-n sub-grid of block indices (1-based) and its branch path from the root."""
 
     rows: tuple[int, ...]
     cols: tuple[int, ...]
-    label: Quadrant
+    path: BranchPath
 
     def __post_init__(self):
         if len(self.rows) != len(self.cols):
@@ -105,22 +106,22 @@ class Frame:
 
 def root_frame(k: int) -> Frame:
     idx = tuple(range(1, k + 1))
-    return Frame(idx, idx, Quadrant.A)
+    return Frame(idx, idx, (Quadrant.A,))
 
 
 def split_frame(frame: Frame) -> tuple[Frame, Frame, Frame, Frame]:
-    """Four children of order n-1, in (A, B, C, D) order. Index work only."""
+    """Four children of order n-1, in (A, B, C, D) order, paths extended. Index work only."""
     n = frame.n
     if n < 3:
         raise FrameTooSmallError(f"cannot split a frame of {n} block rows")
-    r, c = frame.rows, frame.cols
+    r, c, p = frame.rows, frame.cols, frame.path
     rx = (r[2], r[1]) + r[3:]  # rows with the exchange applied, length n-1
     cx = (c[2], c[1]) + c[3:]
     return (
-        Frame(r[:-1], c[:-1], Quadrant.A),
-        Frame(r[:-1], cx, Quadrant.B),
-        Frame(rx, c[:-1], Quadrant.C),
-        Frame(rx, cx, Quadrant.D),
+        Frame(r[:-1], c[:-1], p + (Quadrant.A,)),
+        Frame(r[:-1], cx, p + (Quadrant.B,)),
+        Frame(rx, c[:-1], p + (Quadrant.C,)),
+        Frame(rx, cx, p + (Quadrant.D,)),
     )
 
 
@@ -166,21 +167,15 @@ def predicted_counts(k: int) -> OpCounters:
     )
 
 
-def reduce_frame(
-    provider: BlockProvider,
-    frame: Frame,
-    ws: Workspace,
-    _path: BranchPath | None = None,
-) -> Block:
+def reduce_frame(provider: BlockProvider, frame: Frame, ws: Workspace) -> Block:
     """Reduce a frame to a single b-by-b block.
 
     A leaf (n = 2) fetches its four blocks and eliminates quadrant D; an
     internal node reduces its four children and eliminates the mirror of
-    its own label. A singular pivot at any node raises SingularPivotError
-    carrying the branch path from the root and, as pivot block,
+    its own quadrant. A singular pivot at any node raises SingularPivotError
+    carrying the node's branch path and, as pivot block,
     ``provider.input_block`` of the frame's anchor.
     """
-    path: BranchPath = (frame.label,) if _path is None else _path
     if frame.n == 2:
         rows, cols = frame.rows, frame.cols
 
@@ -192,15 +187,13 @@ def reduce_frame(
         children = split_frame(frame)
 
         def get(key: int) -> Block:
-            child = children[key]
-            return reduce_frame(provider, child, ws, path + (child.label,))
+            return reduce_frame(provider, children[key], ws)
 
-        q = frame.label ^ 3
+        q = frame.path[-1] ^ 3
     try:
-        out = _fold(get, q, ws)
+        return _fold(get, q, ws)
     except SingularBlockError as e:
-        raise SingularPivotError(path, provider.input_block(*frame.anchor)) from e
-    return out
+        raise SingularPivotError(frame.path, provider.input_block(*frame.anchor)) from e
 
 
 def invert_block(

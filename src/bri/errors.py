@@ -45,9 +45,10 @@ class SingularBlockError(BriError):
 class SingularPivotError(BriError):
     """A pivot block inside the recursive reduction was singular.
 
-    ``path`` is the tuple of quadrant labels from the root frame to the
-    failing node. It replays on the run's view: follow the labels through
-    split_frame from root_frame(k) on provider.run_view(alpha, beta).
+    ``path`` is the failing frame's branch path: the quadrants from the
+    root frame to the failing node, the root's (A,) first, whichever frame
+    the reduction started from. It replays on the run's view: follow it
+    through split_frame from root_frame(k) on provider.run_view(alpha, beta).
     ``pivot_block`` is the 1-based (row, col) block of the padded input
     matrix that holds the first row and first column of the failing
     frame's anchor. Without padding that is the block the view moved there.

@@ -17,7 +17,7 @@ working order, through an element row map and an element column map:
   block of the view equals N_alpha_beta. A view refuses run_view.
 
 Each block's slice of each map is split into contiguous real strips and
-padding positions once, when the view is built, so a fetch only reads.
+padding offsets once, when the view is built, so a fetch only reads.
 
 One wrinkle: on a padded layout, a block-level exchange leaves padding
 rows and their matching columns in different pivot minors of the
@@ -251,7 +251,9 @@ class BlockProvider:
     Block (i, j), 1-based, holds the padded matrix at element rows
     rmap[(i-1)b : ib] and columns cmap[(j-1)b : jb]; both maps default
     to the identity. Each block's slice of each map is split into real
-    strips once, here, so a fetch only reads. Read-only after construction.
+    strips once, here, so a fetch only reads. Both maps must hold each
+    padding index at one position (else ValueError), so its one lies on
+    the diagonal of a diagonal block. Read-only after construction.
     """
 
     def __init__(
@@ -267,16 +269,15 @@ class BlockProvider:
         ident = np.arange(layout.n)
         self._rmap = ident if rmap is None else rmap
         self._cmap = ident if cmap is None else cmap
+        m, b = layout.m, layout.b
+        # Clipped at m - 1, real indices all look alike and each padding index unique.
+        if self._mapped and not np.array_equal(np.maximum(rmap, m - 1), np.maximum(cmap, m - 1)):
+            raise ValueError("row and column maps must hold each padding index at one position")
         self._rows = _strips(self._rmap, layout)
         self._cols = _strips(self._cmap, layout)
-        # The identity entries of the padding, as (row, col) view positions:
-        # at most l < k of them, each padding row paired with the position
-        # of its element index in cmap.
-        rpad = np.flatnonzero(self._rmap >= layout.m)
-        self._ones = []
-        if rpad.size:
-            where = np.argsort(self._cmap)
-            self._ones = list(zip(rpad.tolist(), where[self._rmap[rpad]].tolist()))
+        # Each block's padding offsets; their ones lie on the diagonal of block (a, a).
+        pads = np.flatnonzero(self._rmap >= m).tolist()
+        self._pads = [[p - a * b for p in pads if p // b == a] for a in range(layout.k)]
 
     def fetch_block(self, alpha: int, beta: int, ws: Workspace) -> Block:
         """Fetch block (alpha, beta), 1-based, into one freshly allocated buffer."""
@@ -289,10 +290,9 @@ class BlockProvider:
         for p, e, h in rows:
             for q, f, w in cols:
                 self.source.rect(e, e + h, f, f + w, out[p : p + h, q : q + w])
-        r0, c0 = (alpha - 1) * b, (beta - 1) * b
-        for r, c in self._ones:
-            if r0 <= r < r0 + b and c0 <= c < c0 + b:
-                out[r - r0, c - c0] = 1.0
+        if alpha == beta:
+            for p in self._pads[alpha - 1]:
+                out[p, p] = 1.0
         return Block(out, ws)
 
     def input_block(self, i: int, j: int) -> tuple[int, int]:

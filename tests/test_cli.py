@@ -15,9 +15,13 @@ import bri.errors
 from bri import (
     BriError,
     GaugeUnderflowError,
+    MemorySink,
     SingularBlockError,
     SingularPivotError,
+    Workspace,
+    invert_full,
     lu_invert_full,
+    make_memory_provider,
     read_matrix,
     write_matrix,
 )
@@ -452,6 +456,27 @@ class TestBench:
         assert code == 0
         methods = [row["method"] for row in info["rows"]]
         assert methods == ["bri", "lu"]
+
+
+class TestBenchRecord:
+    def test_row_matches_csv_column_order(self, capsys, tmp_path):
+        # each bri row's cells sit under the columns of the run's own counters
+        path = tmp_path / "bench.csv"
+        assert main(["bench", "--m", "16", "--k-list", "4", "--repeat", "1",
+                     "--csv", str(path)]) == 0
+        capsys.readouterr()
+        with open(path, newline="") as fh:
+            header, bri_row, lu_row = list(csv.reader(fh))
+        provider = make_memory_provider(shifted(16, 0), 4)
+        ws = Workspace()
+        invert_full(provider, MemorySink(provider.layout), ws)
+        rec = dict(zip(header, bri_row))
+        assert len(bri_row) == len(lu_row) == len(header)
+        assert bri_row[:3] == ["bri", "16", "4"]
+        assert int(rec["peak_bytes"]) == ws.gauge.peak_blocks * 8 * 4 * 4
+        assert int(rec["n_block_inv"]) == ws.counters.block_inversions
+        assert int(rec["n_block_mul"]) == ws.counters.block_multiplications
+        assert rec["seed"] == "42"
 
 
 class TestUsage:

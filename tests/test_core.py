@@ -16,6 +16,8 @@ from bri import (
     Block,
     DimensionMismatchError,
     GaugeUnderflowError,
+    MemoryGauge,
+    OpCounters,
     SingularBlockError,
     Workspace,
     invert_dense,
@@ -75,6 +77,31 @@ class TestBlock:
         blk = Block(owned, ws)
         assert blk.data is owned
         blk.release()
+
+
+class TestOpCounters:
+    def test_starts_at_zero(self):
+        c = OpCounters()
+        assert (c.block_inversions, c.block_multiplications, c.block_subtractions, c.schur_nodes) == (0, 0, 0, 0)
+
+
+class TestMemoryGauge:
+    def test_peak_tracks_high_water(self):
+        g = MemoryGauge()
+        for _ in range(3):
+            g.on_alloc()
+        g.on_release()
+        g.on_release()
+        g.on_alloc()
+        assert g.live_blocks == 2
+        assert g.peak_blocks == 3
+
+    def test_release_below_zero_raises(self):
+        g = MemoryGauge()
+        g.on_alloc()
+        g.on_release()
+        with pytest.raises(GaugeUnderflowError):
+            g.on_release()
 
 
 class TestMultiply:

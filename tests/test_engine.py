@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bri import (
+    BadPartitionError,
     Frame,
     FrameTooSmallError,
     IndexOutOfRangeError,
@@ -64,7 +65,7 @@ class TestFoldOrder:
             return fetch(i, j, w)
 
         prov.fetch_block = spy
-        frame = Frame((3, 2), (4, 1), C)
+        frame = Frame((3, 2), (4, 1), (A, C))
         reduce_frame(prov, frame, ws).release()
         want = [(frame.rows[q >> 1], frame.cols[q & 1]) for q in self.PLAN[D]]
         assert fetched == want == [(2, 1), (2, 4), (3, 1), (3, 4)]
@@ -74,15 +75,15 @@ class TestFrames:
     def test_root_frame(self):
         f = root_frame(4)
         assert f.rows == (1, 2, 3, 4) and f.cols == (1, 2, 3, 4)
-        assert f.label is A
+        assert f.path == (A,)
         assert f.anchor == (2, 2)
 
     def test_split_children_k4(self):
         a, b, c, d = split_frame(root_frame(4))
-        assert a.rows == (1, 2, 3) and a.cols == (1, 2, 3) and a.label is A
-        assert b.rows == (1, 2, 3) and b.cols == (3, 2, 4) and b.label is B
-        assert c.rows == (3, 2, 4) and c.cols == (1, 2, 3) and c.label is C
-        assert d.rows == (3, 2, 4) and d.cols == (3, 2, 4) and d.label is D
+        assert a.rows == (1, 2, 3) and a.cols == (1, 2, 3) and a.path == (A, A)
+        assert b.rows == (1, 2, 3) and b.cols == (3, 2, 4) and b.path == (A, B)
+        assert c.rows == (3, 2, 4) and c.cols == (1, 2, 3) and c.path == (A, C)
+        assert d.rows == (3, 2, 4) and d.cols == (3, 2, 4) and d.path == (A, D)
 
     def test_split_children_k3(self):
         a, _, _, d = split_frame(root_frame(3))
@@ -104,9 +105,9 @@ class TestFrames:
 
     def test_frame_validation(self):
         with pytest.raises(FrameTooSmallError):
-            Frame((1, 2), (1, 2, 3), A)
+            Frame((1, 2), (1, 2, 3), (A,))
         with pytest.raises(FrameTooSmallError):
-            Frame((1,), (1,), A)
+            Frame((1,), (1,), (A,))
 
 
 class TestReduceFrame:
@@ -128,6 +129,32 @@ class TestReduceFrame:
         out = reduce_frame(prov, root_frame(5), ws)
         want = a[0, 0] - a[0, 1:] @ np.linalg.inv(a[1:, 1:]) @ a[1:, 0]
         assert out.data[0, 0] == pytest.approx(want, abs=1e-9)
+
+    def test_replayed_frame_reports_its_full_path(self, ws):
+        # the frame a reduction starts from carries its path from the root
+        a = shifted(6, 85)
+        a[2:4, 2:4] = 0.0  # every pivot's anchor block
+        view, _ = make_memory_provider(a, 3).run_view(1, 1)
+        with pytest.raises(SingularPivotError) as exc:
+            reduce_frame(view, replay(3, (A, D)), ws)
+        assert exc.value.path == (A, D)
+
+
+class TestPredictedCounts:
+    # geometric node total (4^(k-1) - 1) / 3, one extra inversion at the root
+    @pytest.mark.parametrize(
+        "k, nodes", [(2, 1), (3, 5), (4, 21), (5, 85), (6, 341), (7, 1365)]
+    )
+    def test_node_series(self, k, nodes):
+        c = predicted_counts(k)
+        assert c.schur_nodes == nodes
+        assert c.block_inversions == nodes + 1
+        assert c.block_multiplications == 2 * nodes
+        assert c.block_subtractions == nodes
+
+    def test_rejects_degenerate_partition(self):
+        with pytest.raises(BadPartitionError):
+            predicted_counts(1)
 
 
 class TestInvertBlock:
@@ -326,6 +353,39 @@ class TestInvertFull:
         assert ws.counters.block_inversions == 16 * want.block_inversions
         assert ws.gauge.peak_blocks == 4
         assert ws.gauge.live_blocks == 0
+
+
+class TestLayoutSweep:
+    """Structure of the default route over small layouts; accuracy is not gated here.
+
+    k = 2..5 covers every order m <= 24. At k = 6 one order stands for each
+    padding regime: 12 (l = 0), 17 (l <= b), 9 (b < l < 2b), 8 (l = 2b), and
+    1, 2, 3 and 7 (l > 2b, refused).
+    """
+
+    @pytest.mark.parametrize(
+        "k, orders",
+        [(k, range(1, 25)) for k in (2, 3, 4, 5)] + [(6, (12, 17, 9, 8, 1, 2, 3, 7))],
+        ids=["k2", "k3", "k4", "k5", "k6"],
+    )
+    def test_views_and_full_inverse(self, k, orders):
+        for m in orders:
+            prov = make_memory_provider(shifted(m, 1000 * k + m), k)
+            lay = prov.layout
+            refused = k >= 5 and lay.l > 2 * lay.b
+            for alpha in range(1, k + 1):
+                for beta in range(1, k + 1):
+                    if refused:
+                        with pytest.raises(BadPartitionError):
+                            prov.run_view(alpha, beta)
+                        continue
+                    _, finish = prov.run_view(alpha, beta)
+                    holds_padding = max(alpha, beta) * lay.b > m
+                    assert (finish is not None) == holds_padding, (m, k, alpha, beta)
+            if not refused:  # a singular pivot raises here
+                sink = MemorySink(lay)
+                invert_full(prov, sink, Workspace())
+                sink.finalize()
 
 
 class _Discard:

@@ -356,6 +356,18 @@ class TestRunViewMaps:
         lay = prov.layout
         np.testing.assert_array_equal(dense(view), a[np.ix_(_swap(lay, 3), _swap(lay, 2))])
 
+    def test_maps_must_share_padding(self):
+        prov = make_memory_provider(shifted(10, 53), 4)  # l = 2, b = 3
+        lay = prov.layout
+        with pytest.raises(ValueError, match="padding"):  # at different positions
+            BlockProvider(prov.source, lay, _swap(lay, 4), _swap(lay, 1))
+        rmap, cmap = _run_maps(lay, 4, 1)
+        BlockProvider(prov.source, lay, rmap, cmap)
+        i, j = np.flatnonzero(rmap >= 10)
+        rmap[[i, j]] = rmap[[j, i]]
+        with pytest.raises(ValueError, match="padding"):  # same positions, other indices
+            BlockProvider(prov.source, lay, rmap, cmap)
+
     def test_padding_wider_than_two_blocks_rejected(self):
         prov = make_memory_provider(shifted(3, 55), 7)  # l = 4 > 2b = 2
         with pytest.raises(BadPartitionError, match="padding"):
@@ -414,9 +426,15 @@ class TestRunViewMaps:
             order[0], order[t - 1] = order[t - 1], order[0]
             return [blk * lay.b + i for blk in order for i in range(lay.b)]
 
+        rmap, cmap = _swap(lay, beta), _swap(lay, alpha)
         if lay.l == 0:
             view, _ = prov.run_view(alpha, beta)
-        else:  # run_view shifts padded targets; build the plain exchange directly
-            view = BlockProvider(prov.source, lay, _swap(lay, beta), _swap(lay, alpha))
+        elif np.array_equal(np.where(rmap >= m, rmap, -1), np.where(cmap >= m, cmap, -1)):
+            # run_view shifts padded targets; build the plain exchange directly
+            view = BlockProvider(prov.source, lay, rmap, cmap)
+        else:  # the exchange would move padding ones off the diagonal
+            with pytest.raises(ValueError, match="padding"):
+                BlockProvider(prov.source, lay, rmap, cmap)
+            return
         np.testing.assert_array_equal(dense(view), gamma[np.ix_(swapped(beta), swapped(alpha))])
 
