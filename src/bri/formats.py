@@ -80,24 +80,33 @@ def write_matrix(path, matrix) -> None:
         a.tofile(fh)
 
 
-# Bytes of the file one mapping may span, so a read adds at most this plus one
-# page of mapped file pages to RSS (a longer row segment is mapped alone). Memory,
-# not time, sets it: 2 MiB holds 192 rows of a 9.5 KiB stride (1.8 MiB), so a
-# b=192 block of an m=768 file (a 1.2 MB span) is one mapping.
+# Bytes of the file one mapping may span (a longer row segment is mapped alone).
+# A reader keeps _KEPT mappings open, so its reads hold at most twice this plus
+# two pages of mapped file pages in RSS. Memory, not time, sets it: 2 MiB holds
+# 192 rows of a 9.5 KiB stride (1.8 MiB), so a b=192 block row of an m=768 file
+# (a 1.2 MB span) is one mapping.
 _SPAN_LIMIT = 2 << 20
+
+# Every leaf of the reduction is a 2x2 frame that reads two blocks from the
+# anchor's block row (the same row for every leaf of a run) and two from one
+# other row, so two kept mappings serve almost every read of a run.
+_KEPT = 2
 
 
 class BrimReader:
     """Random-access rectangle reads from a BRIM file (POSIX only).
 
     A rectangle is copied out of read-only mappings of consecutive runs of
-    its rows, each spanning at most ``_SPAN_LIMIT`` bytes of the file (one
-    row segment when a row's stride is longer) and closed before the next
-    opens. Nothing else is buffered and the file offset never moves, so
-    concurrent callers need no lock. The file must not shrink while a
-    reader holds it: a read fills the rows inside the file, then names the
-    first row segment past its end in a ``FormatError``; a shrink between
-    that size check and the copy raises ``SIGBUS``.
+    its rows, each spanning at most ``_SPAN_LIMIT`` bytes of the file and
+    covering whole rows (one row segment when a row's stride is longer),
+    so reads of other columns of those rows copy from it too. The two most
+    recently used mappings stay open between reads, at most two mappings
+    plus two pages of RSS, until ``close()``. Lookup and copy run under one
+    lock, so concurrent callers may share a reader; the file offset never
+    moves. The file must not shrink while a reader holds it: a read fills
+    the rows inside the file, then names the first row segment past its
+    end in a ``FormatError``; a shrink between that size check and the
+    copy raises ``SIGBUS``.
     """
 
     def __init__(self, path):
@@ -108,6 +117,8 @@ class BrimReader:
         except BaseException:
             self._fh.close()
             raise
+        self._kept: list[tuple[int, int, mmap.mmap]] = []  # (start, end, mapping), most recent first
+        self._lock = threading.Lock()
 
     def read_rect(self, r0: int, r1: int, c0: int, c1: int, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` (native float64, the rectangle's shape, rows contiguous); return it."""
@@ -129,12 +140,12 @@ class BrimReader:
             inside = min(len(out), max(0, (size - offset - row_bytes) // stride + 1))
             for i in range(0, inside, per_map):
                 rows = out[i : min(i + per_map, inside)]
-                base = offset - offset % mmap.ALLOCATIONGRANULARITY
                 end = offset + (len(rows) - 1) * stride + row_bytes
-                with mmap.mmap(fd, end - base, prot=mmap.PROT_READ, offset=base) as mapped:
+                with self._lock:
+                    start, mapped = self._mapping(offset, end, len(rows), size)
                     # The strided view is a temporary, released before the mapping
-                    # closes; copyto converts its little-endian elements to native.
-                    np.copyto(rows, np.ndarray(rows.shape, "<f8", mapped, offset - base, (stride, 8)))
+                    # can close; copyto converts its little-endian elements to native.
+                    np.copyto(rows, np.ndarray(rows.shape, "<f8", mapped, offset - start, (stride, 8)))
                 offset += len(rows) * stride
             if inside < len(out):  # offset is now the first row segment past the end
                 raise FormatError(f"{self.path}: short read at byte {offset}: "
@@ -142,7 +153,32 @@ class BrimReader:
         except OSError as e:
             raise OSError(f"{self.path}: read failed at byte {offset}: {e}") from e
 
+    def _mapping(self, lo: int, hi: int, rows: int, size: int) -> tuple[int, mmap.mmap]:
+        """A kept mapping holding bytes lo..hi of ``rows`` rows, and its first byte.
+
+        Call under ``_lock``. A miss unmaps the least recently used mapping
+        and maps the rows whole, up to the file's ``size``.
+        """
+        for n, (start, end, mapped) in enumerate(self._kept):
+            if start <= lo and hi <= end:
+                self._kept.insert(0, self._kept.pop(n))
+                return start, mapped
+        if len(self._kept) == _KEPT:
+            self._kept.pop()[2].close()
+        stride = self.m * 8
+        if stride <= _SPAN_LIMIT:
+            lo -= (lo - HEADER_BYTES) % stride
+            hi = min(lo + rows * stride, size)
+        start = lo - lo % mmap.ALLOCATIONGRANULARITY
+        mapped = mmap.mmap(self._fh.fileno(), hi - start, prot=mmap.PROT_READ, offset=start)
+        self._kept.insert(0, (start, hi, mapped))
+        return start, mapped
+
     def close(self) -> None:
+        """Unmap the kept mappings, then close the file."""
+        with self._lock:
+            while self._kept:
+                self._kept.pop()[2].close()
         self._fh.close()
 
     def __enter__(self) -> "BrimReader":

@@ -285,8 +285,9 @@ class BlockProvider:
         if not (1 <= alpha <= k and 1 <= beta <= k):
             raise IndexOutOfRangeError(f"block ({alpha}, {beta}) outside 1..{k}")
         rows, cols = self._rows[alpha - 1], self._cols[beta - 1]
-        # Every strip is written in place; padding leaves the gaps zero.
-        out = np.zeros((b, b))
+        # Every strip is written in place. Without padding the strips cover the
+        # block, so it needs no zero fill; with padding the gaps stay zero.
+        out = np.zeros((b, b)) if self._pads[alpha - 1] or self._pads[beta - 1] else np.empty((b, b))
         for p, e, h in rows:
             for q, f, w in cols:
                 self.source.rect(e, e + h, f, f + w, out[p : p + h, q : q + w])

@@ -266,6 +266,38 @@ class TestAugmentedProvider:
         assert not full[:10, 10:].any() and not full[10:, :10].any()
 
 
+class TestFetchWritesEveryElement:
+    @pytest.mark.parametrize("m, k", [(12, 4), (10, 4), (13, 4), (17, 6)])
+    @pytest.mark.parametrize("kind", ["memory", "file", "kernel"])
+    def test_no_element_is_left_from_a_dirty_buffer(self, tmp_path, ws, kind, m, k):
+        # A block with no padding is allocated unfilled; dropping a NaN block of
+        # the same size before each fetch likely hands that memory back to it.
+        if kind == "kernel":
+            spec = KernelSpec(rng(60).standard_normal((m - 1, 2)))
+            a, prov = kernel_matrix(spec), make_kernel_provider(spec, k)
+        else:
+            a = rng(60).standard_normal((m, m))
+            write_matrix(tmp_path / "a.brim", a)
+            prov = make_memory_provider(a, k) if kind == "memory" else make_file_provider(tmp_path / "a.brim", k)
+        lay = prov.layout
+        gamma = np.eye(lay.n)
+        gamma[:m, :m] = a
+        with prov:
+            views = [(prov, gamma)] + [
+                (view, gamma[np.ix_(view._rmap, view._cmap)])
+                for view in (prov.run_view(i, j)[0] for i in range(1, k + 1) for j in range(1, k + 1))
+            ]
+            for view, want in views:
+                for i in range(1, k + 1):
+                    for j in range(1, k + 1):
+                        dirty = np.full((lay.b, lay.b), np.nan)
+                        del dirty
+                        blk = view.fetch_block(i, j, ws)
+                        sl = np.s_[(i - 1) * lay.b : i * lay.b, (j - 1) * lay.b : j * lay.b]
+                        np.testing.assert_array_equal(blk.data, want[sl])
+                        blk.release()
+
+
 class TestRunViewMaps:
     @pytest.mark.parametrize("m, k", [(10, 4), (8, 6), (3, 2), (13, 4), (11, 7)])
     def test_maps_are_paired_bijections(self, m, k):
