@@ -17,8 +17,8 @@ Design notes
   than copy it. Operations are free functions matching the operand
   vocabulary: ``multiply``, ``subtract``, ``invert_dense``. Each writes its
   result over its first operand's buffer and returns that very block, so
-  only a provider's fetch allocates one. A padded run's finisher, too,
-  clears the padding of its target in the buffer of the final inverse.
+  only a provider's fetch allocates one. On a padded target,
+  ``invert_block`` clears the padding in the buffer of the final inverse.
 * ``invert_dense`` inverts in place. LAPACK's ``getrf`` factors the
   transposed view, which is Fortran-contiguous for a C-ordered buffer,
   and ``getri`` overwrites the factors with the inverse of that

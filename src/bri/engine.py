@@ -44,6 +44,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable
 
+import numpy as np
+
 from .core import Block, OpCounters, Workspace, invert_dense, multiply, subtract
 from .errors import (
     BadPartitionError,
@@ -207,17 +209,22 @@ def invert_block(
     Runs the reduction on the view the provider selects for this target
     (the block exchange that moves the target into leading position, or
     on a padded layout an element-shifted window that starts at the
-    target's real entries) and inverts the root reduction in place; when
-    the target block holds padding, the view's finisher then clears the
-    rest. The block returned is the one the final inversion produced;
-    every block it allocates belongs to ``ws``. A singular final
-    reduction raises SingularBlockError; singular interior pivots raise
-    SingularPivotError (see reduce_frame).
+    target's real entries) and inverts the root reduction in place. If
+    the target block holds padding, it then clears the rest in place to
+    that block of [[M^-1, 0], [0, I]]. The block returned is the one the
+    final inversion produced; every block it allocates belongs to ``ws``.
+    A singular final reduction raises SingularBlockError; singular
+    interior pivots raise SingularPivotError (see reduce_frame).
     """
-    view, finish = provider.run_view(alpha, beta)
-    out = invert_dense(reduce_frame(view, root_frame(provider.layout.k), ws))
-    if finish is not None:
-        finish(out.data)
+    lay = provider.layout
+    out = invert_dense(reduce_frame(provider.run_view(alpha, beta), root_frame(lay.k), ws))
+    (r0, r1), (c0, c1) = lay.span(alpha), lay.span(beta)
+    h, w = r1 - r0, c1 - c0  # the window leads with the target's real rows and columns
+    if h < lay.b or w < lay.b:
+        out.data[h:] = 0.0
+        out.data[:, w:] = 0.0
+        if alpha == beta:
+            np.fill_diagonal(out.data[h:, h:], 1.0)
     return out
 
 

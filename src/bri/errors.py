@@ -67,7 +67,8 @@ class SingularPivotError(BriError):
 
 
 class FrameTooSmallError(BriError):
-    """split_frame called on a frame with fewer than 3 block rows."""
+    """A frame that is not square or has fewer than 2 block rows (``Frame``),
+    or a split of one with fewer than 3 (``split_frame``)."""
 
 
 class GaugeUnderflowError(BriError):

@@ -218,9 +218,8 @@ class _BlockSink:
             raise DimensionMismatchError(
                 f"block ({alpha}, {beta}) has shape {data.shape}, expected ({lay.b}, {lay.b})"
             )
-        r0 = (alpha - 1) * lay.b
-        c0 = (beta - 1) * lay.b
-        return r0, c0, data[: max(0, lay.m - r0), : max(0, lay.m - c0)]
+        (r0, r1), (c0, c1) = lay.span(alpha), lay.span(beta)
+        return r0, c0, data[: r1 - r0, : c1 - c0]
 
     def _require_complete(self) -> None:
         lay = self.layout

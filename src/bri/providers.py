@@ -29,8 +29,8 @@ therefore switches, whenever padding is present, to element maps that
 shift the window: each map leads with b real indices starting with the
 target's real span, so the target's real entries sit at the origin of the
 computed window, and all padding indices sit at shared positions inside
-blocks 2 and k of both maps. A target block holding padding gets a
-finishing step that clears the window past its real entries and restores
+blocks 2 and k of both maps. When the target block holds padding,
+invert_block itself clears the window past its real entries and restores
 the identity's diagonal. Pivots then stay generically nonsingular and the
 result is unchanged. Padding wider than two blocks cannot be tucked away
 like this, so k >= 5 partitions reject layouts with l > 2b.
@@ -77,6 +77,10 @@ class BlockLayout:
     def n(self) -> int:
         """Working (padded) order."""
         return self.m + self.l
+
+    def span(self, j: int) -> tuple[int, int]:
+        """Element range lo..hi-1 of block j's real entries, 1-based j (empty if all padding)."""
+        return min((j - 1) * self.b, self.m), min(j * self.b, self.m)
 
     @classmethod
     def for_order(cls, m: int, k: int) -> "BlockLayout":
@@ -179,7 +183,7 @@ class KernelSpec:
 
 def _real_window(lay: BlockLayout, j: int) -> np.ndarray:
     """b consecutive real indices covering block j's real span, that span first."""
-    lo, hi = min((j - 1) * lay.b, lay.m), min(j * lay.b, lay.m)
+    lo, hi = lay.span(j)
     return np.concatenate([np.arange(lo, hi), np.arange(hi - lay.b, lo)])
 
 
@@ -301,16 +305,14 @@ class BlockProvider:
         b = self.layout.b
         return (int(self._rmap[(i - 1) * b]) // b + 1, int(self._cmap[(j - 1) * b]) // b + 1)
 
-    def run_view(self, alpha: int, beta: int):
-        """View to reduce for target block (alpha, beta), plus a finisher.
+    def run_view(self, alpha: int, beta: int) -> "BlockProvider":
+        """View to reduce for target block (alpha, beta).
 
-        Returns (provider, finish). The view's leading inverse block holds
-        the target's real entries at its origin: by the plain exchange of
-        block row 1 with beta and block column 1 with alpha, or on a padded
-        layout by an element-shifted window. finish is None when the target
-        block holds no padding; otherwise it zeroes the window past the
-        target's real rows and columns, sets the padding diagonal when
-        alpha == beta, and returns the array it was given.
+        The view's leading inverse block holds the target's real entries at
+        its origin: by the plain exchange of block row 1 with beta and block
+        column 1 with alpha, or on a padded layout by an element-shifted
+        window. Past those entries the window holds other entries of the
+        inverse; invert_block clears them when the target holds padding.
         A view is final: calling run_view on one raises ValueError.
         """
         lay = self.layout
@@ -319,7 +321,7 @@ class BlockProvider:
         if not (1 <= alpha <= lay.k and 1 <= beta <= lay.k):
             raise IndexOutOfRangeError(f"inverse block ({alpha}, {beta}) outside 1..{lay.k}")
         if lay.l == 0:
-            return BlockProvider(self.source, lay, _swap(lay, beta), _swap(lay, alpha)), None
+            return BlockProvider(self.source, lay, _swap(lay, beta), _swap(lay, alpha))
         if lay.k >= 5 and lay.l > 2 * lay.b:
             # Deep reductions invert pivots whose row and column block
             # sets differ over blocks 3..k-1; padding caught there makes
@@ -334,21 +336,7 @@ class BlockProvider:
         # their rows (or vice versa) inside interior pivots, singular for
         # every M. View rows index the *columns* of the inverse, so the
         # leading row window carries beta's span.
-        view = BlockProvider(self.source, lay, *_run_maps(lay, alpha, beta))
-        # The window's leading h rows and w columns are the target's real entries.
-        h = min(lay.b, max(0, lay.m - (alpha - 1) * lay.b))
-        w = min(lay.b, max(0, lay.m - (beta - 1) * lay.b))
-        if h == w == lay.b:
-            return view, None
-
-        def finish(win: np.ndarray) -> np.ndarray:
-            win[h:] = 0.0
-            win[:, w:] = 0.0
-            if alpha == beta:
-                np.fill_diagonal(win[h:, h:], 1.0)
-            return win
-
-        return view, finish
+        return BlockProvider(self.source, lay, *_run_maps(lay, alpha, beta))
 
     def close(self) -> None:
         """Close the source's file, if it reads one. Views share their base's source."""

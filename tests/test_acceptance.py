@@ -123,7 +123,7 @@ def test_criterion_03_4x4_trace():
 
     # each branch value replayed on the (1, 1) run's view
     prov = make_memory_provider(a, 4)
-    view, _ = prov.run_view(1, 1)
+    view = prov.run_view(1, 1)
     ws = Workspace()
     worst = 0.0
     for path, value in want.items():

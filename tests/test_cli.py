@@ -42,6 +42,12 @@ class TestGen:
         assert run(capsys, "gen", "--kind", "randn", "--m", "8", "--out", str(p2))[0] == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_seed_picks_the_matrix(self, capsys, tmp_path):
+        paths = [tmp_path / f"{name}.brim" for name in ("a", "b", "default")]
+        for path, seed in zip(paths, (["--seed", "7"], ["--seed", "7"], [])):
+            assert run(capsys, "gen", "--kind", "randn", "--m", "8", "--out", str(path), *seed)[0] == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes() != paths[2].read_bytes()
+
     def test_randn_diagonal_shift(self, capsys, tmp_path):
         path = tmp_path / "a.brim"
         run(capsys, "gen", "--kind", "randn", "--m", "12", "--out", str(path))
@@ -284,6 +290,22 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out and "(3, 5)" in out
 
+    def test_tol_sets_the_bound(self, capsys, tmp_path):
+        src, near = tmp_path / "a.brim", tmp_path / "near.brim"
+        a = shifted(8, 119)
+        write_matrix(src, a)
+        inverse = np.linalg.inv(a)
+        inverse[2, 6] += 1e-6 * np.abs(inverse).max()  # about 1e-6 relative
+        write_matrix(near, inverse)
+        argv = ["verify", "--in", str(src), "--inverse", str(near), "--json"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert json.loads(out)["pass"] is False
+        code, out, _ = run(capsys, *argv, "--tol", "1e-5")
+        info = json.loads(out)
+        assert code == 0
+        assert (info["pass"], info["tol"], info["at"]) == (True, 1e-5, [2, 6])
+
     def test_shape_mismatch_is_usage_error(self, capsys, tmp_path):
         src, other = tmp_path / "a.brim", tmp_path / "b.brim"
         write_matrix(src, shifted(8, 108))
@@ -362,8 +384,12 @@ class TestVerify:
 
     # A NaN or negative bound would report FAIL on an exact inverse; an
     # infinite one would pass anything.
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-    def test_unusable_tol_is_refused_unread(self, capsys, monkeypatch, tmp_path, tol):
+    @pytest.mark.parametrize(
+        "tol, match",
+        [("nan", "--tol"), ("-1", "--tol"), ("inf", "--tol"), ("abc", "bad tolerance")],
+        ids=["nan", "-1", "inf", "abc"],
+    )
+    def test_unusable_tol_is_refused_unread(self, capsys, monkeypatch, tmp_path, tol, match):
         src = tmp_path / "a.brim"
         write_matrix(src, shifted(6, 112))
 
@@ -373,7 +399,7 @@ class TestVerify:
         monkeypatch.setattr(bri.cli, "read_matrix", unread)
         code, _, err = run(capsys, "verify", "--in", str(src), "--k", "2", "--tol", tol)
         assert code == 3
-        assert "--tol" in err
+        assert "--tol" in err and match in err
 
     def test_inverse_of_other_order_is_refused_unread(self, capsys, monkeypatch, tmp_path):
         src, other = tmp_path / "a.brim", tmp_path / "b.brim"
@@ -410,6 +436,15 @@ class TestBench:
             # dense LU: the input plus the working copy that becomes the inverse
             ["lu", "16", "1", str(2 * 8 * 16 * 16), "1", "0", "42"],
         ]
+
+    def test_seed_fills_every_row(self, capsys, tmp_path):
+        csv_path = tmp_path / "bench.csv"
+        code, _, _ = run(capsys, "bench", "--m", "16", "--k-list", "2,4", "--repeat", "1",
+                         "--seed", "7", "--csv", str(csv_path))
+        assert code == 0
+        with open(csv_path, newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert [r["seed"] for r in records] == ["7"] * 3
 
     def test_csv_row_count_and_schema(self, capsys, tmp_path):
         csv_path = tmp_path / "bench.csv"
@@ -489,18 +524,20 @@ class TestUsage:
     # numpy's PCG64 refuses a negative seed with a ValueError, which is no
     # usage error; the seed is checked before anything is generated.
     @pytest.mark.parametrize(
-        "argv",
+        "argv, seed, match",
         [
-            ["gen", "--kind", "randn", "--m", "4", "--out"],
-            ["bench", "--m", "8", "--k-list", "2", "--csv"],
+            (["gen", "--kind", "randn", "--m", "4", "--out"], "-1", "--seed"),
+            (["bench", "--m", "8", "--k-list", "2", "--csv"], "-1", "--seed"),
+            (["gen", "--kind", "randn", "--m", "4", "--out"], "abc", "bad seed"),
+            (["bench", "--m", "8", "--k-list", "2", "--csv"], "abc", "bad seed"),
         ],
-        ids=["gen", "bench"],
+        ids=["gen", "bench", "gen-abc", "bench-abc"],
     )
-    def test_negative_seed_is_usage_error(self, capsys, tmp_path, argv):
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path, argv, seed, match):
         out = tmp_path / "out"
-        code, _, err = run(capsys, *argv, str(out), "--seed", "-1")
+        code, _, err = run(capsys, *argv, str(out), "--seed", seed)
         assert code == 3
-        assert "--seed" in err
+        assert "--seed" in err and match in err
         assert not out.exists()
 
 

@@ -134,7 +134,7 @@ class TestReduceFrame:
         # the frame a reduction starts from carries its path from the root
         a = shifted(6, 85)
         a[2:4, 2:4] = 0.0  # every pivot's anchor block
-        view, _ = make_memory_provider(a, 3).run_view(1, 1)
+        view = make_memory_provider(a, 3).run_view(1, 1)
         with pytest.raises(SingularPivotError) as exc:
             reduce_frame(view, replay(3, (A, D)), ws)
         assert exc.value.path == (A, D)
@@ -274,7 +274,7 @@ class TestInvertBlock:
         assert exc.value.pivot_block == zeroed
         assert path is None or exc.value.path == path
         assert isinstance(exc.value.__cause__, SingularBlockError)
-        view, _ = prov.run_view(*target)
+        view = prov.run_view(*target)
         ar, ac = replay(k, exc.value.path).anchor
         blk = view.fetch_block(ar, ac, ws)
         assert not blk.data.any()
@@ -297,7 +297,7 @@ class TestTraceHook:
 
         # each branch value replayed on the (1, 1) run's view
         prov = make_memory_provider(a, 4)
-        view, _ = prov.run_view(1, 1)
+        view = prov.run_view(1, 1)
 
         def value(path) -> float:
             blk = reduce_frame(view, replay(4, path), ws)
@@ -379,9 +379,7 @@ class TestLayoutSweep:
                         with pytest.raises(BadPartitionError):
                             prov.run_view(alpha, beta)
                         continue
-                    _, finish = prov.run_view(alpha, beta)
-                    holds_padding = max(alpha, beta) * lay.b > m
-                    assert (finish is not None) == holds_padding, (m, k, alpha, beta)
+                    prov.run_view(alpha, beta)
             if not refused:  # a singular pivot raises here
                 sink = MemorySink(lay)
                 invert_full(prov, sink, Workspace())
@@ -433,10 +431,10 @@ class TestTracedPeak:
             assert peak < (gauge + 1) * block, (peak / block, gauge)
 
     # Padded layouts (l = 1 or 2) read strips of rows and columns; each is
-    # written into the one block buffer the fetch allocates, and the
-    # finisher clears the final inverse's padding in place. At k = 2 the
-    # finish is the run's peak, so a finisher that allocated an output
-    # block of its own would put the run above the gauge + 1 bound.
+    # written into the one block buffer the fetch allocates, and
+    # invert_block clears the final inverse's padding in place. At k = 2
+    # that clearing is the run's peak, so a clearing that allocated an
+    # output block of its own would put the run above the gauge + 1 bound.
     @pytest.mark.parametrize("m, k", [(511, 2), (510, 4), (382, 6)])
     def test_padded_file_runs_within_one_block_of_the_gauge(self, tmp_path, m, k):
         path = tmp_path / "a.brim"
@@ -457,7 +455,7 @@ class TestTracedPeak:
         write_matrix(path, shifted(m, 96))
         ws = Workspace()
         with make_file_provider(path, k) as prov:
-            view, _ = prov.run_view(k, 2)
+            view = prov.run_view(k, 2)
             block = 8 * prov.layout.b**2
             view.fetch_block(1, 1, ws).release()  # warm-up
             for i in range(1, k + 1):

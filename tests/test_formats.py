@@ -1,12 +1,14 @@
 """BRIM files, block sinks, and the benchmark CSV."""
 
 import csv
+import errno
 import gc
 import json
 import mmap
 import os
 import struct
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -404,6 +406,28 @@ class TestReadRectGroups:
             np.testing.assert_array_equal(dest[:2], a[150:152])  # rows before the cut are in
             assert 1 <= mappings() <= 2
         assert mappings() == 0  # close() unmapped them
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+    def test_failed_mapping_names_the_file_and_byte(self, tmp_path):
+        m = 40
+        a = rng(10).standard_normal((m, m))
+        path = tmp_path / "a.brim"
+        write_matrix(path, a)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            reader = BrimReader(path)
+            eio = OSError(errno.EIO, os.strerror(errno.EIO))
+            with mock.patch.object(formats.mmap, "mmap", side_effect=eio), pytest.raises(OSError) as exc:
+                _rect(reader, 3, 7, 2, 9)
+            assert str(exc.value).startswith(f"{path}: read failed at byte {HEADER_BYTES + (3 * m + 2) * 8}: ")
+            assert exc.value.__cause__ is eio
+            np.testing.assert_array_equal(_rect(reader, 3, 7, 2, 9), a[3:7, 2:9])  # unpatched
+            reader.close()
+            with open("/proc/self/maps") as fh:
+                assert not any(line.rstrip().endswith(str(path)) for line in fh)
+            del reader
+            gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 class TestBrimSink:

@@ -133,7 +133,7 @@ class TestFileProvider:
         path = tmp_path / "a.brim"
         write_matrix(path, np.eye(4))
         with make_file_provider(path, 2) as prov:
-            view, _ = prov.run_view(2, 1)
+            view = prov.run_view(2, 1)
             assert view.source is prov.source
         assert prov.source.reader._fh.closed
         with make_memory_provider(np.eye(4), 2) as mem:  # nothing to close
@@ -200,25 +200,24 @@ class TestKernelProvider:
 class TestPermutedProvider:
     def test_unit_target_is_identity_view(self):
         a = rng(40).standard_normal((6, 6))
-        view, finish = make_memory_provider(a, 3).run_view(1, 1)
-        assert finish is None
+        view = make_memory_provider(a, 3).run_view(1, 1)
         np.testing.assert_array_equal(dense(view), a)
 
     def test_scalar_example(self):
         base = make_memory_provider(np.array([[4.0, 2.0], [1.0, 3.0]]), 2)
-        view, _ = base.run_view(2, 2)
+        view = base.run_view(2, 2)
         np.testing.assert_array_equal(dense(view), [[3.0, 1.0], [2.0, 4.0]])
 
     def test_swaps_row_beta_and_col_alpha(self):
         a = rng(41).standard_normal((6, 6))
-        view, _ = make_memory_provider(a, 3).run_view(3, 2)
+        view = make_memory_provider(a, 3).run_view(3, 2)
         rows = [2, 3, 0, 1, 4, 5]  # block rows 1 and beta=2 exchanged, b=2
         cols = [4, 5, 2, 3, 0, 1]  # block cols 1 and alpha=3 exchanged
         np.testing.assert_array_equal(dense(view), a[np.ix_(rows, cols)])
 
     @pytest.mark.parametrize("m", [6, 5], ids=["plain", "padded"])
     def test_view_refuses_run_view(self, m):
-        view, _ = make_memory_provider(shifted(m, 42), 3).run_view(2, 3)
+        view = make_memory_provider(shifted(m, 42), 3).run_view(2, 3)
         with pytest.raises(ValueError, match="base provider"):
             view.run_view(2, 3)
 
@@ -229,7 +228,7 @@ class TestPermutedProvider:
         base = make_memory_provider(a, 3)
         for alpha in range(1, 4):
             for beta in range(1, 4):
-                view, _ = base.run_view(alpha, beta)
+                view = base.run_view(alpha, beta)
                 win = np.linalg.inv(dense(view))[:2, :2]
                 target = inv[(alpha - 1) * 2 : alpha * 2, (beta - 1) * 2 : beta * 2]
                 np.testing.assert_allclose(win, target, atol=1e-12)
@@ -285,7 +284,7 @@ class TestFetchWritesEveryElement:
         with prov:
             views = [(prov, gamma)] + [
                 (view, gamma[np.ix_(view._rmap, view._cmap)])
-                for view in (prov.run_view(i, j)[0] for i in range(1, k + 1) for j in range(1, k + 1))
+                for view in (prov.run_view(i, j) for i in range(1, k + 1) for j in range(1, k + 1))
             ]
             for view, want in views:
                 for i in range(1, k + 1):
@@ -341,7 +340,7 @@ class TestRunViewMaps:
         gamma[10:, 10:] = np.eye(2)
         prov = make_memory_provider(a, 4)
         for alpha, beta in ((2, 3), (4, 1), (1, 4), (4, 4)):
-            view, finish = prov.run_view(alpha, beta)
+            view = prov.run_view(alpha, beta)
             rmap, cmap = _run_maps(prov.layout, alpha, beta)
             dense_view = dense(view)
             np.testing.assert_array_equal(dense_view, gamma[np.ix_(rmap, cmap)])
@@ -349,11 +348,9 @@ class TestRunViewMaps:
             win = np.linalg.inv(dense_view)[:3, :3]
             np.testing.assert_allclose(win, inv[np.ix_(cmap[:3], rmap[:3])], atol=1e-12)
             if (alpha, beta) == (2, 3):  # all real: the window is the target
-                assert finish is None
                 np.testing.assert_allclose(win, inv[3:6, 6:9], atol=1e-12)
-                continue
-            out = finish(win)
-            assert out is win  # written in place
+            # invert_block clears the window past the target's real entries
+            out = invert_block(prov, alpha, beta, ws)
             r0, c0 = (alpha - 1) * 3, (beta - 1) * 3
             want = np.zeros((3, 3))
             rr = min(3, 10 - r0)
@@ -362,7 +359,8 @@ class TestRunViewMaps:
             if alpha == beta:
                 for t in range(rr, 3):
                     want[t, t] = 1.0
-            np.testing.assert_allclose(out, want, atol=1e-12)
+            np.testing.assert_allclose(out.data, want, atol=1e-12)
+            out.release()
 
     @pytest.mark.parametrize("m, k", [(10, 4), (13, 4), (5, 4), (23, 5), (382, 6)])
     def test_only_targets_holding_padding_are_finished(self, ws, m, k):
@@ -373,18 +371,19 @@ class TestRunViewMaps:
         inv[:m, :m] = np.linalg.inv(a)
         for alpha in range(1, k + 1):
             for beta in range(1, k + 1):
-                _, finish = prov.run_view(alpha, beta)
-                assert (finish is None) == (alpha * b <= m and beta * b <= m)
                 blk = invert_block(prov, alpha, beta, ws)
                 want = inv[(alpha - 1) * b : alpha * b, (beta - 1) * b : beta * b]
                 np.testing.assert_allclose(blk.data, want, atol=1e-9)
+                # past the real rows and columns: exact zeros and identity
+                h, w = min(b, max(0, m - (alpha - 1) * b)), min(b, max(0, m - (beta - 1) * b))
+                np.testing.assert_array_equal(blk.data[h:], want[h:])
+                np.testing.assert_array_equal(blk.data[:, w:], want[:, w:])
                 blk.release()
 
     def test_unpadded_run_view_keeps_plain_permutation(self):
         a = shifted(8, 54)
         prov = make_memory_provider(a, 4)
-        view, finish = prov.run_view(2, 3)
-        assert finish is None
+        view = prov.run_view(2, 3)
         lay = prov.layout
         np.testing.assert_array_equal(dense(view), a[np.ix_(_swap(lay, 3), _swap(lay, 2))])
 
@@ -460,7 +459,7 @@ class TestRunViewMaps:
 
         rmap, cmap = _swap(lay, beta), _swap(lay, alpha)
         if lay.l == 0:
-            view, _ = prov.run_view(alpha, beta)
+            view = prov.run_view(alpha, beta)
         elif np.array_equal(np.where(rmap >= m, rmap, -1), np.where(cmap >= m, cmap, -1)):
             # run_view shifts padded targets; build the plain exchange directly
             view = BlockProvider(prov.source, lay, rmap, cmap)
