@@ -29,7 +29,6 @@ from .errors import (
     FrameTooSmallError,
     GaugeUnderflowError,
     IndexOutOfRangeError,
-    MaterializeLimitError,
     MissingBlocksError,
     SingularBlockError,
     SingularPivotError,

@@ -14,6 +14,7 @@ files on any platform.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -28,7 +29,7 @@ import numpy as np
 from .baseline import lu_invert_full
 from .core import Workspace
 from .engine import invert_block, invert_full
-from .errors import BriError, MaterializeLimitError, UsageError
+from .errors import BriError, UsageError
 from .formats import BrimReader, BrimSink, MemorySink, read_matrix, write_matrix
 from .providers import KernelSpec, kernel_matrix, make_file_provider, make_memory_provider
 
@@ -307,7 +308,7 @@ def cmd_verify(args) -> int:
     with BrimReader(args.input) as reader:
         m = reader.m
     if m > MATERIALIZE_LIMIT:
-        raise MaterializeLimitError(m, MATERIALIZE_LIMIT)
+        raise UsageError(f"refusing to materialize order {m} > configured ceiling {MATERIALIZE_LIMIT}")
     # The input array lives only while LU inverts it.
     if args.inverse:
         with BrimReader(args.inverse) as reader:
@@ -357,19 +358,20 @@ def cmd_bench(args) -> int:
         raise UsageError(f"bench needs --m >= 2, got {args.m}")
     matrix = _generate("randn", args.m, args.seed)
     runs = []
-    for _ in range(args.repeat):
-        for k in args.k_list:
-            provider = make_memory_provider(matrix, k)
-            ws, wall_ms, peak_bytes = _bri(provider, MemorySink(provider.layout))
-            c = ws.counters
-            runs.append(
-                ("bri", args.m, k, wall_ms, peak_bytes,
-                 c.block_inversions, c.block_multiplications, args.seed)
-            )
-        _, wall_ms, peak_bytes = _lu(matrix)
-        runs.append(("lu", args.m, 1, wall_ms, peak_bytes, 1, 0, args.seed))
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+    # Open --csv first, so an unwritable path fails before the sweep (as --out does in invert).
+    with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as fh:
+        for _ in range(args.repeat):
+            for k in args.k_list:
+                provider = make_memory_provider(matrix, k)
+                ws, wall_ms, peak_bytes = _bri(provider, MemorySink(provider.layout))
+                c = ws.counters
+                runs.append(
+                    ("bri", args.m, k, wall_ms, peak_bytes,
+                     c.block_inversions, c.block_multiplications, args.seed)
+                )
+            _, wall_ms, peak_bytes = _lu(matrix)
+            runs.append(("lu", args.m, 1, wall_ms, peak_bytes, 1, 0, args.seed))
+        if fh:
             writer = csv.writer(fh)
             writer.writerow(_BENCH_COLUMNS)
             writer.writerows((*run[:3], f"{run[3]:.3f}", *run[4:]) for run in runs)

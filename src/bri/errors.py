@@ -89,16 +89,6 @@ class MissingBlocksError(BriError):
         super().__init__(f"sink finalized with missing blocks: {shown}{extra}")
 
 
-class MaterializeLimitError(BriError):
-    """Guard against accidentally materializing a huge operand."""
-
-    def __init__(self, order: int, limit: int):
-        self.order = order
-        self.limit = limit
-        super().__init__(
-            f"refusing to materialize order {order} > configured ceiling {limit}"
-        )
-
-
 class UsageError(BriError):
-    """Bad CLI flag combination or unusable input path."""
+    """Bad CLI flag combination or unusable input path, including an input
+    above ``bri verify``'s dense ceiling (``cli.MATERIALIZE_LIMIT``)."""

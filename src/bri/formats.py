@@ -266,7 +266,8 @@ class BrimSink(_BlockSink):
         r0, c0, region = self._region(alpha, beta, block)
         m = self.layout.m
         with self._lock:
-            for i, row in enumerate(region):
+            # A block whose columns are all padding has real rows but nothing to write.
+            for i, row in enumerate(region if region.size else ()):
                 # Straight from the block's row; converts only on big-endian hosts.
                 row = np.ascontiguousarray(row, dtype="<f8")
                 self._pwrite(row, HEADER_BYTES + ((r0 + i) * m + c0) * 8)

@@ -363,7 +363,7 @@ class TestVerify:
         monkeypatch.setattr(bri.cli, "read_matrix", unread)
         code, _, err = run(capsys, "verify", "--in", str(src), "--k", "2")
         assert code == 3
-        assert "order 6" in err
+        assert err == "error: refusing to materialize order 6 > configured ceiling 5\n"
 
     # No target runs with k = 1, nor with l = 4 > 2b padding indices at k = 7.
     @pytest.mark.parametrize(
@@ -445,6 +445,18 @@ class TestBench:
         with open(csv_path, newline="") as fh:
             records = list(csv.DictReader(fh))
         assert [r["seed"] for r in records] == ["7"] * 3
+
+    def test_unwritable_csv_is_refused_before_the_sweep(self, capsys, monkeypatch, tmp_path):
+        csv_path = tmp_path / "missing" / "bench.csv"
+
+        def unrun(provider, sink):
+            raise AssertionError("bench ran a block sweep before opening --csv")
+
+        monkeypatch.setattr(bri.cli, "_bri", unrun)
+        code, _, err = run(capsys, "bench", "--m", "16", "--k-list", "2", "--repeat", "1",
+                           "--csv", str(csv_path))
+        assert code == 3
+        assert str(csv_path) in err
 
     def test_csv_row_count_and_schema(self, capsys, tmp_path):
         csv_path = tmp_path / "bench.csv"

@@ -457,6 +457,25 @@ class TestBrimSink:
         assert out.shape == (10, 10)
         np.testing.assert_array_equal(out, full[:10, :10])
 
+    def test_all_padding_columns_write_nothing(self, tmp_path):
+        # order 8 split 6 ways: b=2, blocks 5 and 6 are all padding, so the
+        # puts of (1..4, 5..6) have real rows but no real columns
+        lay = BlockLayout.for_order(8, 6)
+        assert (lay.b, lay.l) == (2, 4)
+        full = rng(6).standard_normal((12, 12))
+        path = tmp_path / "out.brim"
+        with mock.patch.object(os, "pwrite", wraps=os.pwrite) as spy:
+            with BrimSink(path, lay) as sink:
+                for alpha in range(1, 7):
+                    for beta in range(1, 7):
+                        r0, c0 = (alpha - 1) * 2, (beta - 1) * 2
+                        sink.put(alpha, beta, full[r0 : r0 + 2, c0 : c0 + 2])
+        sizes = [memoryview(c.args[1]).nbytes for c in spy.call_args_list]
+        # two header writes and one per real row of each of the 4 x 4 real blocks
+        assert 0 not in sizes and len(sizes) == 2 + 4 * 4 * 2
+        write_matrix(tmp_path / "ref.brim", full[:8, :8])
+        assert path.read_bytes() == (tmp_path / "ref.brim").read_bytes()
+
     def test_accepts_out_of_order_and_repeated_puts(self, tmp_path):
         lay = BlockLayout.for_order(4, 2)
         path = tmp_path / "out.brim"
