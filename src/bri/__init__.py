@@ -26,7 +26,6 @@ from .errors import (
     BriError,
     DimensionMismatchError,
     FormatError,
-    FrameTooSmallError,
     GaugeUnderflowError,
     IndexOutOfRangeError,
     MissingBlocksError,

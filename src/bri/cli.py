@@ -357,6 +357,9 @@ def cmd_bench(args) -> int:
     if args.m < 2:
         raise UsageError(f"bench needs --m >= 2, got {args.m}")
     matrix = _generate("randn", args.m, args.seed)
+    # Refuse a k that no target can run before --csv is opened or any k runs.
+    for k in args.k_list:
+        make_memory_provider(matrix, k).run_view(1, 1)
     runs = []
     # Open --csv first, so an unwritable path fails before the sweep (as --out does in invert).
     with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as fh:

@@ -47,12 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Block, OpCounters, Workspace, invert_dense, multiply, subtract
-from .errors import (
-    BadPartitionError,
-    FrameTooSmallError,
-    SingularBlockError,
-    SingularPivotError,
-)
+from .errors import BadPartitionError, SingularBlockError, SingularPivotError
 from .providers import BlockProvider
 
 __all__ = [
@@ -90,11 +85,11 @@ class Frame:
 
     def __post_init__(self):
         if len(self.rows) != len(self.cols):
-            raise FrameTooSmallError(
+            raise BadPartitionError(
                 f"frame must be square: {len(self.rows)} rows vs {len(self.cols)} cols"
             )
         if len(self.rows) < 2:
-            raise FrameTooSmallError(f"frame needs at least 2 block rows, got {len(self.rows)}")
+            raise BadPartitionError(f"frame needs at least 2 block rows, got {len(self.rows)}")
 
     @property
     def n(self) -> int:
@@ -115,7 +110,7 @@ def split_frame(frame: Frame) -> tuple[Frame, Frame, Frame, Frame]:
     """Four children of order n-1, in (A, B, C, D) order, paths extended. Index work only."""
     n = frame.n
     if n < 3:
-        raise FrameTooSmallError(f"cannot split a frame of {n} block rows")
+        raise BadPartitionError(f"cannot split a frame of {n} block rows")
     r, c, p = frame.rows, frame.cols, frame.path
     rx = (r[2], r[1]) + r[3:]  # rows with the exchange applied, length n-1
     cx = (c[2], c[1]) + c[3:]

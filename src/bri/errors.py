@@ -20,7 +20,9 @@ class DimensionMismatchError(BriError):
 
 class BadPartitionError(BriError):
     """Unusable partition: k < 2, order m < 1, more than 2b padding indices at
-    k >= 5 (``run_view``), or a non-positive kernel gamma or sigma (``KernelSpec``)."""
+    k >= 5 (``run_view``), a non-positive kernel gamma or sigma (``KernelSpec``),
+    a frame that is not square or has fewer than 2 block rows (``Frame``), or a
+    split of one with fewer than 3 (``split_frame``)."""
 
 
 class IndexOutOfRangeError(BriError):
@@ -64,11 +66,6 @@ class SingularPivotError(BriError):
             f"singular pivot at branch {labels} "
             f"(depth {len(self.path)}, block {self.pivot_block})"
         )
-
-
-class FrameTooSmallError(BriError):
-    """A frame that is not square or has fewer than 2 block rows (``Frame``),
-    or a split of one with fewer than 3 (``split_frame``)."""
 
 
 class GaugeUnderflowError(BriError):

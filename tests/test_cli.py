@@ -458,6 +458,32 @@ class TestBench:
         assert code == 3
         assert str(csv_path) in err
 
+    # A k that no target can run, listed after a runnable one: k = 1, and
+    # l = 5 > 2b padding indices at m = 7, k = 6.
+    @pytest.mark.parametrize(
+        "m, k_list, match",
+        [("12", "2,1", "partition needs k >= 2"), ("7", "2,6", "more than two blocks' worth")],
+        ids=["k-1", "padding-over-2b"],
+    )
+    def test_unrunnable_k_is_refused_before_the_sweep(
+        self, capsys, monkeypatch, tmp_path, m, k_list, match
+    ):
+        csv_path = tmp_path / "bench.csv"
+        calls = []
+        real_bri = bri.cli._bri
+
+        def counted(provider, sink):
+            calls.append(provider.layout.k)
+            return real_bri(provider, sink)
+
+        monkeypatch.setattr(bri.cli, "_bri", counted)
+        code, _, err = run(capsys, "bench", "--m", m, "--k-list", k_list, "--repeat", "1",
+                           "--csv", str(csv_path))
+        assert code == 3
+        assert match in err
+        assert calls == []
+        assert not csv_path.exists()
+
     def test_csv_row_count_and_schema(self, capsys, tmp_path):
         csv_path = tmp_path / "bench.csv"
         code, out, _ = run(capsys, "bench", "--m", "16", "--k-list", "2,4",

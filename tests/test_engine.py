@@ -7,8 +7,8 @@ import pytest
 
 from bri import (
     BadPartitionError,
+    BlockLayout,
     Frame,
-    FrameTooSmallError,
     IndexOutOfRangeError,
     KernelSpec,
     MemorySink,
@@ -100,14 +100,29 @@ class TestFrames:
         walk(root_frame(6))
 
     def test_leaf_cannot_split(self):
-        with pytest.raises(FrameTooSmallError):
+        with pytest.raises(BadPartitionError, match="cannot split a frame of 2 block rows"):
             split_frame(root_frame(2))
 
     def test_frame_validation(self):
-        with pytest.raises(FrameTooSmallError):
+        with pytest.raises(BadPartitionError, match="frame must be square: 2 rows vs 3 cols"):
             Frame((1, 2), (1, 2, 3), (A,))
-        with pytest.raises(FrameTooSmallError):
+        with pytest.raises(BadPartitionError, match="frame needs at least 2 block rows, got 1"):
             Frame((1,), (1,), (A,))
+
+    # Every entry point that takes k refuses k = 1 with the one type.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: root_frame(1),
+            lambda: predicted_counts(1),
+            lambda: BlockLayout.for_order(5, 1),
+            lambda: make_memory_provider(np.eye(5), 1),
+        ],
+        ids=["root_frame", "predicted_counts", "for_order", "memory_provider"],
+    )
+    def test_k_1_is_a_bad_partition(self, call):
+        with pytest.raises(BadPartitionError):
+            call()
 
 
 class TestReduceFrame:
