@@ -186,13 +186,22 @@ def _lu(matrix: np.ndarray) -> tuple[np.ndarray, float, int]:
     return inverse, (time.perf_counter() - t0) * 1e3, 2 * matrix.nbytes
 
 
-def _bri(provider, sink) -> tuple[Workspace, float, int]:
-    """Block-recursive inverse into ``sink``: its workspace, wall ms, and peak bytes."""
+def _report(ws: Workspace, layout, t0: float) -> dict:
+    """The run report: wall ms since ``t0``, the gauge peak in blocks, the
+    process's peak RSS in MiB, the gauge peak in bytes, and ``ws``'s counts.
+    """
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    peak, rss = ws.gauge.peak_blocks, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {"wall_ms": wall_ms, "peak_blocks": peak, "peak_rss_mb": rss,
+            "peak_bytes": peak * 8 * layout.b**2, **asdict(ws.counters)}
+
+
+def _bri(provider, sink) -> dict:
+    """Block-recursive inverse into ``sink``; returns its run report."""
     ws = Workspace()
     t0 = time.perf_counter()
     invert_full(provider, sink, ws)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return ws, wall_ms, ws.gauge.peak_blocks * 8 * provider.layout.b**2
+    return _report(ws, provider.layout, t0)
 
 
 def _refuse_out_over_input(args) -> None:
@@ -234,31 +243,18 @@ def cmd_invert(args) -> int:
         _refuse_out_over_input(args)
         provider.run_view(1, 1)
         with BrimSink(args.out, lay) as sink:
-            ws, wall_ms, peak_bytes = _bri(provider, sink)
-    c, peak = ws.counters, ws.gauge.peak_blocks
-    info = {
-        "command": "invert",
-        "method": "bri",
-        "m": lay.m,
-        "k": lay.k,
-        "b": lay.b,
-        "l": lay.l,
-        "wall_ms": wall_ms,
-        "peak_blocks": peak,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "peak_bytes": peak_bytes,
-        **asdict(c),
-        "out": args.out,
-    }
+            r = _bri(provider, sink)
+    info = {"command": "invert", "method": "bri", "m": lay.m, "k": lay.k, "b": lay.b, "l": lay.l,
+            **r, "out": args.out}
     _emit(
         args,
         info,
         [
             f"inverted order {lay.m} with k={lay.k} (b={lay.b}, l={lay.l}) "
-            f"in {wall_ms:.3f} ms",
-            f"peak {peak} live blocks ({peak_bytes} bytes)",
-            f"{c.block_inversions} block inversions, {c.block_multiplications} "
-            f"multiplications, {c.schur_nodes} reductions; wrote {args.out}",
+            f"in {r['wall_ms']:.3f} ms",
+            f"peak {r['peak_blocks']} live blocks ({r['peak_bytes']} bytes)",
+            f"{r['block_inversions']} block inversions, {r['block_multiplications']} "
+            f"multiplications, {r['schur_nodes']} reductions; wrote {args.out}",
         ],
     )
     return 0
@@ -270,25 +266,19 @@ def cmd_invert_block(args) -> int:
     ws = Workspace()
     with provider:
         _refuse_out_over_input(args)
+        t0 = time.perf_counter()
         block = invert_block(provider, args.row, args.col, ws)
+        r = _report(ws, lay, t0)
     data = block.data
     block.release()
     if args.out:
         write_matrix(args.out, data)
     bound = lay.k  # a block run holds exactly k live blocks
-    info = {
-        "command": "invert-block",
-        "row": args.row,
-        "col": args.col,
-        "b": lay.b,
-        "peak_blocks": ws.gauge.peak_blocks,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "bound": bound,
-        "block": data.tolist(),
-    }
+    info = {"command": "invert-block", "row": args.row, "col": args.col, "b": lay.b, **r,
+            "bound": bound, "block": data.tolist()}
     lines = [
         f"block ({args.row}, {args.col}) of the inverse, order {lay.b}",
-        f"peak {ws.gauge.peak_blocks} live blocks, bound {bound}",
+        f"peak {r['peak_blocks']} live blocks, bound {bound}",
     ]
     if lay.b == 1:
         lines.insert(0, f"value: {data[0, 0]:.12g}")
@@ -324,7 +314,7 @@ def cmd_verify(args) -> int:
             provider.run_view(1, 1)
             reference = lu_invert_full(read_matrix(args.input))
             sink = MemorySink(provider.layout)
-            invert_full(provider, sink, Workspace())
+            _bri(provider, sink)
         candidate = sink.finalize()
     # The gap overwrites the candidate, so the check adds no order-m array.
     gap = np.abs(np.subtract(candidate, reference, out=candidate), out=candidate)
@@ -334,7 +324,8 @@ def cmd_verify(args) -> int:
     info = {
         "command": "verify",
         "m": m,
-        "max_rel_error": rel,
+        # JSON has no NaN or Infinity: a non-finite error prints as null.
+        "max_rel_error": rel if np.isfinite(rel) else None,
         "at": [int(worst[0]), int(worst[1])],
         "tol": args.tol,
         "pass": ok,
@@ -357,20 +348,22 @@ def cmd_bench(args) -> int:
     if args.m < 2:
         raise UsageError(f"bench needs --m >= 2, got {args.m}")
     matrix = _generate("randn", args.m, args.seed)
-    # Refuse a k that no target can run before --csv is opened or any k runs.
+    # Refuse a k that no target can run before --csv is opened or any k runs;
+    # every repeat reuses the provider probed here.
+    providers = {}
     for k in args.k_list:
-        make_memory_provider(matrix, k).run_view(1, 1)
+        providers[k] = make_memory_provider(matrix, k)
+        providers[k].run_view(1, 1)
     runs = []
     # Open --csv first, so an unwritable path fails before the sweep (as --out does in invert).
     with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as fh:
         for _ in range(args.repeat):
             for k in args.k_list:
-                provider = make_memory_provider(matrix, k)
-                ws, wall_ms, peak_bytes = _bri(provider, MemorySink(provider.layout))
-                c = ws.counters
+                provider = providers[k]
+                r = _bri(provider, MemorySink(provider.layout))
                 runs.append(
-                    ("bri", args.m, k, wall_ms, peak_bytes,
-                     c.block_inversions, c.block_multiplications, args.seed)
+                    ("bri", args.m, k, r["wall_ms"], r["peak_bytes"],
+                     r["block_inversions"], r["block_multiplications"], args.seed)
                 )
             _, wall_ms, peak_bytes = _lu(matrix)
             runs.append(("lu", args.m, 1, wall_ms, peak_bytes, 1, 0, args.seed))

@@ -1,9 +1,10 @@
 """Dense b-by-b block arithmetic with explicit buffer accounting.
 
 All elements are float64 and every block buffer is a C-contiguous (b, b)
-ndarray owned by a :class:`Block`. A :class:`MemoryGauge` counts each
-buffer from allocation until an explicit ``release()`` drops it, so peak
-counts are deterministic and match the buffers the process holds. The
+ndarray owned by a :class:`Block`. Each workspace's :class:`MemoryGauge`
+counts a buffer from its block's construction until an explicit
+``release()`` drops it; only ``Block`` writes the gauge, so peak counts
+are deterministic and match the buffers the process holds. The
 gauge counts these engine-managed buffers, not heap bytes: a file read's
 mapping, the multiply's scratch panel and LAPACK's work array are
 outside it. One *block operation* is one call on b-by-b operands, an
@@ -112,29 +113,16 @@ class OpCounters:
     schur_nodes: int = 0
 
 
+@dataclass
 class MemoryGauge:
-    """High-water mark of concurrently live block buffers.
+    """Live and high-water counts of block buffers in one workspace.
 
-    Every allocation of a block-sized buffer registers here and every
-    release deregisters; releasing more than was registered raises
-    :class:`GaugeUnderflowError`.
+    Only :class:`Block` writes it: construction counts a buffer live, and
+    ``release`` counts it gone.
     """
 
-    __slots__ = ("live_blocks", "peak_blocks")
-
-    def __init__(self) -> None:
-        self.live_blocks = 0
-        self.peak_blocks = 0
-
-    def on_alloc(self) -> None:
-        self.live_blocks += 1
-        if self.live_blocks > self.peak_blocks:
-            self.peak_blocks = self.live_blocks
-
-    def on_release(self) -> None:
-        if self.live_blocks == 0:
-            raise GaugeUnderflowError("release of a buffer with none live")
-        self.live_blocks -= 1
+    live_blocks: int = 0
+    peak_blocks: int = 0
 
 
 class Workspace:
@@ -157,11 +145,11 @@ class Workspace:
 
 
 class Block:
-    """One square float64 block of order >= 1 plus its accounting hooks.
+    """One square float64 block of order >= 1, counted in its workspace's gauge.
 
     The block owns its buffer: a view or a read-only, F-ordered or non-float64
-    array raises ValueError, and nothing is copied. The buffer registers with
-    the workspace gauge on construction and must be released exactly once;
+    array raises ValueError, and nothing is copied. The buffer counts in the
+    workspace gauge from construction and must be released exactly once;
     release drops it, ``data`` becomes None, and a second release raises
     GaugeUnderflowError.
     """
@@ -177,17 +165,19 @@ class Block:
             raise ValueError("a block needs a writable C-ordered float64 buffer of its own")
         self.data = buf
         self._ws = ws
-        ws.gauge.on_alloc()
+        gauge = ws.gauge
+        gauge.live_blocks += 1
+        gauge.peak_blocks = max(gauge.peak_blocks, gauge.live_blocks)
 
     @property
     def order(self) -> int:
         return self.data.shape[0]
 
     def release(self) -> None:
-        """Deregister this block's buffer from the gauge, then drop it."""
+        """Count this block's buffer gone from the gauge, then drop it."""
         if self.data is None:
             raise GaugeUnderflowError("block released twice")
-        self._ws.gauge.on_release()
+        self._ws.gauge.live_blocks -= 1
         self.data = None
 
     def __repr__(self) -> str:  # pragma: no cover

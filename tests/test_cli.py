@@ -6,6 +6,7 @@ import json
 import re
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from bri import (
     invert_full,
     lu_invert_full,
     make_memory_provider,
+    predicted_counts,
     read_matrix,
     write_matrix,
 )
@@ -209,6 +211,32 @@ class TestInvert:
         np.testing.assert_array_equal(read_matrix(out), lu_invert_full(a))
 
 
+# Every block-recursive run prints one report, in this key order.
+REPORT_KEYS = ["wall_ms", "peak_blocks", "peak_rss_mb", "peak_bytes", "block_inversions",
+               "block_multiplications", "block_subtractions", "schur_nodes"]
+
+
+# m=10 pads to 12 (b=3, l=2); m=16 splits into blocks of 4.
+@pytest.mark.parametrize("m, b", [(10, 3), (16, 4)], ids=["padded", "unpadded"])
+def test_invert_and_invert_block_print_one_report(capsys, tmp_path, m, b):
+    src = tmp_path / "a.brim"
+    write_matrix(src, shifted(m, 120))
+    code, out, _ = run(capsys, "invert", "--in", str(src), "--out", str(tmp_path / "x.brim"),
+                       "--k", "4", "--json")
+    full = json.loads(out)
+    assert code == 0
+    code, out, _ = run(capsys, "invert-block", "--in", str(src), "--k", "4",
+                       "--row", "2", "--col", "3", "--json")
+    single = json.loads(out)
+    assert code == 0
+    assert [key for key in full if key in REPORT_KEYS] == REPORT_KEYS
+    assert [key for key in single if key in REPORT_KEYS] == REPORT_KEYS
+    counts = asdict(predicted_counts(4))
+    assert {key: single[key] for key in counts} == counts
+    assert single["peak_bytes"] == 4 * 8 * b * b
+    assert single["wall_ms"] > 0
+
+
 class TestInvertBlock:
     def test_scalar_value_output(self, capsys, tmp_path):
         src = tmp_path / "m.brim"
@@ -305,6 +333,22 @@ class TestVerify:
         info = json.loads(out)
         assert code == 0
         assert (info["pass"], info["tol"], info["at"]) == (True, 1e-5, [2, 6])
+
+    def test_non_finite_error_prints_strict_json(self, capsys, tmp_path):
+        # JSON has no NaN: an all-NaN candidate reports a null error, not NaN.
+        src, nan = tmp_path / "eye.brim", tmp_path / "nan.brim"
+        write_matrix(src, np.eye(4))
+        write_matrix(nan, np.full((4, 4), np.nan))
+        code, out, _ = run(capsys, "verify", "--in", str(src), "--inverse", str(nan), "--json")
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        info = json.loads(out, parse_constant=refuse)
+        assert code == 1
+        assert info["max_rel_error"] is None
+        assert info["at"] == [0, 0]
+        assert info["pass"] is False
 
     def test_shape_mismatch_is_usage_error(self, capsys, tmp_path):
         src, other = tmp_path / "a.brim", tmp_path / "b.brim"

@@ -16,7 +16,6 @@ from bri import (
     Block,
     DimensionMismatchError,
     GaugeUnderflowError,
-    MemoryGauge,
     OpCounters,
     SingularBlockError,
     Workspace,
@@ -39,6 +38,7 @@ class TestBlock:
         blk.release()
         with pytest.raises(GaugeUnderflowError):
             blk.release()
+        assert ws.gauge.live_blocks == 0
 
     def test_release_drops_the_buffer(self, ws):
         blk = ws.from_array(np.eye(2))
@@ -48,13 +48,17 @@ class TestBlock:
         assert buf() is None  # freed, not just deregistered
 
     def test_gauge_counts_live_buffers(self, ws):
-        a = ws.from_array(np.zeros((2, 2)))
-        b = ws.from_array(np.eye(2))
-        assert ws.gauge.live_blocks == 2
+        # the peak is the high-water mark: three live, two released, one more
+        a, b, c = (ws.from_array(np.eye(2)) for _ in range(3))
         a.release()
         b.release()
+        d = ws.from_array(np.zeros((2, 2)))
+        assert ws.gauge.live_blocks == 2
+        assert ws.gauge.peak_blocks == 3
+        c.release()
+        d.release()
         assert ws.gauge.live_blocks == 0
-        assert ws.gauge.peak_blocks == 2
+        assert ws.gauge.peak_blocks == 3
 
     def test_from_array_copies_by_default(self, ws):
         src = np.eye(2)
@@ -83,25 +87,6 @@ class TestOpCounters:
     def test_starts_at_zero(self):
         c = OpCounters()
         assert (c.block_inversions, c.block_multiplications, c.block_subtractions, c.schur_nodes) == (0, 0, 0, 0)
-
-
-class TestMemoryGauge:
-    def test_peak_tracks_high_water(self):
-        g = MemoryGauge()
-        for _ in range(3):
-            g.on_alloc()
-        g.on_release()
-        g.on_release()
-        g.on_alloc()
-        assert g.live_blocks == 2
-        assert g.peak_blocks == 3
-
-    def test_release_below_zero_raises(self):
-        g = MemoryGauge()
-        g.on_alloc()
-        g.on_release()
-        with pytest.raises(GaugeUnderflowError):
-            g.on_release()
 
 
 class TestMultiply:

@@ -4,18 +4,25 @@
 TARGETS. A name that moves, say onto a base class, would leave the traced
 benchmark run unable to patch it; this check fails first. A call that
 bypasses a patched name would leave its spans uncounted; the count check
-fails then.
+fails then. The full-inversion workload reads counts and the peak from
+``bri invert --json``, so every key it reads must stay in that output.
 """
 
 import importlib.util
+import io
+import json
+import re
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from bri import MemorySink, Workspace, invert_block, invert_full, make_memory_provider
+import bri.cli
+from bri import MemorySink, Workspace, invert_block, invert_full, make_memory_provider, write_matrix
 from conftest import shifted
 
-_PATH = Path(__file__).resolve().parents[1] / "bribench" / "tracing.py"
+_BENCH = Path(__file__).resolve().parents[1] / "bribench"
+_PATH = _BENCH / "tracing.py"
 _SPEC = importlib.util.spec_from_file_location("bribench_tracing", _PATH)
 tracing = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tracing)
@@ -50,3 +57,17 @@ def test_traced_counts_equal_the_workspace_counters(m, op):
     assert counts["core.subtract.calls"] == c.block_subtractions
     # 4 fetches at each of the 4**(k-2) leaves of every run
     assert counts["providers.fetch.calls"] == 4 ** (k - 1) * runs
+
+
+def test_invert_json_carries_every_key_the_benchmark_reads(tmp_path):
+    # The full-inversion workload reads `bri invert --json` output as info["..."].
+    keys = set(re.findall(r'info\["(\w+)"\]', (_BENCH / "run.py").read_text()))
+    assert {"block_inversions", "peak_blocks"} <= keys
+    src = tmp_path / "a.brim"
+    write_matrix(src, shifted(8, 131))
+    argv = ["invert", "--in", str(src), "--out", str(tmp_path / "x.brim"), "--k", "4", "--json"]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert bri.cli.main(argv) == 0
+    info = json.loads(buf.getvalue())
+    assert sorted(keys - set(info)) == []
